@@ -1,6 +1,8 @@
 #include "core/matrix.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 
 namespace ebmf {
 
@@ -16,21 +18,66 @@ BinaryMatrix BinaryMatrix::from_strings(const std::vector<std::string>& rows) {
   return m;
 }
 
+namespace {
+
+/// Eight text bytes as a little-endian word: byte k is cell k.
+std::uint64_t load8(const char* p) {
+  std::uint64_t x;
+  std::memcpy(&x, p, sizeof x);
+  if constexpr (std::endian::native == std::endian::big)
+    x = __builtin_bswap64(x);
+  return x;
+}
+
+constexpr std::uint64_t kLowBits = 0x0101010101010101ULL;
+
+}  // namespace
+
 BinaryMatrix BinaryMatrix::parse(const std::string& text) {
-  std::vector<std::string> rows;
-  std::string cur;
-  for (char ch : text) {
-    if (ch == ';' || ch == '\n') {
-      if (!cur.empty()) rows.push_back(std::move(cur));
-      cur.clear();
-    } else if (ch == '0' || ch == '1') {
-      cur.push_back(ch);
+  BinaryMatrix m;
+  std::vector<std::uint64_t> words;  // the row being read
+  std::size_t len = 0;               // its cells so far
+  const auto append = [&](std::uint64_t bits, std::size_t count) {
+    const std::size_t shift = len & 63;
+    if (shift == 0) {
+      words.push_back(bits);
     } else {
-      EBMF_EXPECTS(ch == ' ' || ch == '\t' || ch == '\r');
+      words.back() |= bits << shift;
+      if (shift + count > 64) words.push_back(bits >> (64 - shift));
     }
+    len += count;
+  };
+  const auto end_row = [&] {
+    if (len == 0) return;
+    if (m.rows_.empty()) m.n_ = len;
+    EBMF_EXPECTS(len == m.n_);
+    m.rows_.push_back(BitVec::from_words(len, words));
+    words.clear();
+    len = 0;
+  };
+  const char* p = text.data();
+  const char* const end = p + text.size();
+  while (p < end) {
+    if (end - p >= 8) {
+      // A run of eight '0'/'1' bytes (0x30/0x31): gather each byte's low
+      // bit into bit k of one byte with a single multiply.
+      const std::uint64_t x = load8(p);
+      if ((x & ~kLowBits) == 0x3030303030303030ULL) {
+        append(((x & kLowBits) * 0x0102040810204080ULL) >> 56, 8);
+        p += 8;
+        continue;
+      }
+    }
+    const char ch = *p++;
+    if (ch == ';' || ch == '\n')
+      end_row();
+    else if (ch == '0' || ch == '1')
+      append(static_cast<std::uint64_t>(ch - '0'), 1);
+    else
+      EBMF_EXPECTS(ch == ' ' || ch == '\t' || ch == '\r');
   }
-  if (!cur.empty()) rows.push_back(std::move(cur));
-  return from_strings(rows);
+  end_row();
+  return m;
 }
 
 BinaryMatrix BinaryMatrix::from_rows(std::vector<BitVec> rows, std::size_t n) {

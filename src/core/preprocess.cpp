@@ -1,23 +1,59 @@
 #include "core/preprocess.h"
 
+#include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <numeric>
-#include <unordered_map>
 
 namespace ebmf {
 
 namespace {
 
-/// Group indices of equal nonzero BitVecs, in first-occurrence order.
-std::vector<std::vector<std::size_t>> group_equal_rows(
-    const std::vector<BitVec>& rows) {
-  std::unordered_map<BitVec, std::size_t, BitVecHash> index_of;
-  std::vector<std::vector<std::size_t>> groups;
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].none()) continue;
-    auto [it, inserted] = index_of.try_emplace(rows[i], groups.size());
-    if (inserted) groups.emplace_back();
-    groups[it->second].push_back(i);
+/// Group the indices of equal nonzero lines, in first-occurrence order.
+/// Line i is the `words` words at line(i). The lines are not copied: an
+/// open-addressing table maps each line's hash to the group whose first
+/// member it equals.
+template <class LineWords>
+std::vector<std::vector<std::size_t>> group_equal_lines(std::size_t count,
+                                                        std::size_t words,
+                                                        LineWords line) {
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::size_t capacity = 16;
+  while (capacity < 2 * count) capacity <<= 1;
+  std::vector<std::size_t> slot_group(capacity, kNone);
+  std::vector<std::uint64_t> slot_hash(capacity);
+  std::vector<std::size_t> group_of(count, kNone);
+  std::vector<std::size_t> first;  // first member of each group
+  std::vector<std::size_t> size;   // members of each group
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::uint64_t* w = line(i);
+    std::uint64_t h = 0x9e3779b97f4a7c15ULL;
+    bool any = false;
+    for (std::size_t k = 0; k < words; ++k) {
+      any = any || w[k] != 0;
+      h = (h ^ w[k]) * 0xff51afd7ed558ccdULL;
+      h ^= h >> 32;
+    }
+    if (!any) continue;
+    for (std::size_t s = h & (capacity - 1);; s = (s + 1) & (capacity - 1)) {
+      if (slot_group[s] == kNone) {
+        slot_group[s] = first.size();
+        slot_hash[s] = h;
+        first.push_back(i);
+        size.push_back(0);
+      } else if (slot_hash[s] != h ||
+                 !std::equal(w, w + words, line(first[slot_group[s]]))) {
+        continue;
+      }
+      group_of[i] = slot_group[s];
+      ++size[group_of[i]];
+      break;
+    }
   }
+  std::vector<std::vector<std::size_t>> groups(first.size());
+  for (std::size_t g = 0; g < groups.size(); ++g) groups[g].reserve(size[g]);
+  for (std::size_t i = 0; i < count; ++i)
+    if (group_of[i] != kNone) groups[group_of[i]].push_back(i);
   return groups;
 }
 
@@ -48,20 +84,42 @@ DuplicateReduction reduce_duplicates(const BinaryMatrix& m) {
   out.original_cols = m.cols();
 
   // Pass 1: group duplicate rows.
-  out.row_groups = group_equal_rows(m.row_vectors());
+  out.row_groups =
+      group_equal_lines(m.rows(), (m.cols() + 63) / 64,
+                        [&](std::size_t i) { return m.row(i).words().data(); });
+  const std::size_t rows = out.row_groups.size();
 
-  // Pass 2: group duplicate columns of the row-reduced matrix.
-  BinaryMatrix row_reduced(out.row_groups.size(), m.cols());
-  for (std::size_t i = 0; i < out.row_groups.size(); ++i)
-    for (std::size_t j = m.row(out.row_groups[i][0]).find_first();
-         j < m.cols(); j = m.row(out.row_groups[i][0]).find_next(j))
-      row_reduced.set(i, j);
-  out.col_groups = group_equal_rows(row_reduced.transposed().row_vectors());
+  // Pass 2: group duplicate columns of the row-reduced matrix, whose
+  // columns are laid out flat, `stride` words each.
+  const std::size_t stride = (rows + 63) / 64;
+  std::vector<std::uint64_t> columns(m.cols() * stride, 0);
+  for (std::size_t i = 0; i < rows; ++i) {
+    const BitVec& row = m.row(out.row_groups[i][0]);
+    for (std::size_t j = row.find_first(); j < m.cols(); j = row.find_next(j))
+      columns[j * stride + (i >> 6)] |= std::uint64_t{1} << (i & 63);
+  }
+  out.col_groups = group_equal_lines(
+      m.cols(), stride, [&](std::size_t j) { return &columns[j * stride]; });
+  const std::size_t cols = out.col_groups.size();
 
-  out.reduced = BinaryMatrix(out.row_groups.size(), out.col_groups.size());
-  for (std::size_t i = 0; i < out.row_groups.size(); ++i)
-    for (std::size_t j = 0; j < out.col_groups.size(); ++j)
-      if (row_reduced.test(i, out.col_groups[j][0])) out.reduced.set(i, j);
+  // The reduced matrix: representative rows restricted to representative
+  // columns — whole-row copies when no column was dropped.
+  std::vector<BitVec> reduced;
+  reduced.reserve(rows);
+  if (cols == m.cols()) {
+    for (const std::vector<std::size_t>& group : out.row_groups)
+      reduced.push_back(m.row(group[0]));
+  } else {
+    reduced.assign(rows, BitVec(cols));
+    for (std::size_t j = 0; j < cols; ++j) {
+      const std::uint64_t* column = &columns[out.col_groups[j][0] * stride];
+      for (std::size_t k = 0; k < stride; ++k)
+        for (std::uint64_t w = column[k]; w != 0; w &= w - 1)
+          reduced[k * 64 + static_cast<std::size_t>(std::countr_zero(w))]
+              .set(j);
+    }
+  }
+  out.reduced = BinaryMatrix::from_rows(std::move(reduced), cols);
   return out;
 }
 
@@ -91,47 +149,45 @@ std::vector<Component> split_components(const BinaryMatrix& m) {
          j = m.row(i).find_next(j))
       uf.unite(i, rows + j);
 
-  // Collect member rows/cols per root, restricted to nonzero rows/cols.
-  std::unordered_map<std::size_t, std::size_t> component_of_root;
+  // Collect member rows/cols per root, restricted to nonzero rows/cols;
+  // components are numbered by their first row.
+  constexpr std::size_t kNone = static_cast<std::size_t>(-1);
+  std::vector<std::size_t> component_of_root(rows + cols, kNone);
   std::vector<Component> components;
-  std::vector<std::vector<std::size_t>> comp_rows, comp_cols;
   for (std::size_t i = 0; i < rows; ++i) {
     if (m.row(i).none()) continue;
-    const auto root = uf.find(i);
-    auto [it, inserted] =
-        component_of_root.try_emplace(root, comp_rows.size());
-    if (inserted) {
-      comp_rows.emplace_back();
-      comp_cols.emplace_back();
+    std::size_t& c = component_of_root[uf.find(i)];
+    if (c == kNone) {
+      c = components.size();
+      components.emplace_back();
     }
-    comp_rows[it->second].push_back(i);
+    components[c].row_map.push_back(i);
   }
+  // col_pos[j] = column j's index inside its component.
+  std::vector<std::size_t> col_pos(cols, kNone);
   for (std::size_t j = 0; j < cols; ++j) {
-    const auto root = uf.find(rows + j);
-    const auto it = component_of_root.find(root);
-    if (it == component_of_root.end()) continue;  // empty column
-    comp_cols[it->second].push_back(j);
+    const std::size_t c = component_of_root[uf.find(rows + j)];
+    if (c == kNone) continue;  // empty column
+    col_pos[j] = components[c].col_map.size();
+    components[c].col_map.push_back(j);
   }
 
-  components.reserve(comp_rows.size());
-  for (std::size_t c = 0; c < comp_rows.size(); ++c) {
-    Component comp;
-    comp.row_map = std::move(comp_rows[c]);
-    comp.col_map = std::move(comp_cols[c]);
-    comp.matrix = BinaryMatrix(comp.row_map.size(), comp.col_map.size());
-    // Inverse column map for the fill.
-    std::unordered_map<std::size_t, std::size_t> col_pos;
-    for (std::size_t j = 0; j < comp.col_map.size(); ++j)
-      col_pos.emplace(comp.col_map[j], j);
-    for (std::size_t i = 0; i < comp.row_map.size(); ++i) {
-      const BitVec& row = m.row(comp.row_map[i]);
-      for (std::size_t j = row.find_first(); j < cols; j = row.find_next(j)) {
-        const auto it = col_pos.find(j);
-        EBMF_ASSERT(it != col_pos.end());  // cell's column is in component
-        comp.matrix.set(i, it->second);
+  for (Component& comp : components) {
+    const std::size_t width = comp.col_map.size();
+    std::vector<BitVec> comp_rows;
+    comp_rows.reserve(comp.row_map.size());
+    for (const std::size_t i : comp.row_map) {
+      const BitVec& row = m.row(i);
+      if (width == cols) {  // every column is in this component
+        comp_rows.push_back(row);
+        continue;
       }
+      BitVec local(width);
+      for (std::size_t j = row.find_first(); j < cols; j = row.find_next(j))
+        local.set(col_pos[j]);
+      comp_rows.push_back(std::move(local));
     }
-    components.push_back(std::move(comp));
+    comp.matrix = BinaryMatrix::from_rows(std::move(comp_rows), width);
   }
   return components;
 }

@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <sstream>
+#include <string>
 
 #include "engine/engine.h"
 #include "io/json.h"
@@ -147,30 +147,32 @@ std::string json_number(double value) { return io::json::number(value); }
 }  // namespace
 
 std::string to_json(const SolveReport& report) {
-  std::ostringstream out;
-  out << "{\"label\":\"" << json_escape(report.label) << "\""
-      << ",\"strategy\":\"" << json_escape(report.strategy) << "\""
-      << ",\"status\":\"" << to_string(report.status) << "\""
-      << ",\"depth\":" << report.depth()
-      << ",\"lower_bound\":" << report.lower_bound
-      << ",\"upper_bound\":" << report.upper_bound
-      << ",\"incumbent_depth\":" << report.incumbent_depth
-      << ",\"gap\":" << report.gap
-      << ",\"total_seconds\":" << json_number(report.total_seconds);
-  out << ",\"timings\":{";
+  std::string out;
+  out.reserve(256);
+  out += "{\"label\":\"" + json_escape(report.label) + "\"";
+  out += ",\"strategy\":\"" + json_escape(report.strategy) + "\"";
+  out += ",\"status\":\"";
+  out += to_string(report.status);
+  out += "\",\"depth\":" + std::to_string(report.depth());
+  out += ",\"lower_bound\":" + std::to_string(report.lower_bound);
+  out += ",\"upper_bound\":" + std::to_string(report.upper_bound);
+  out += ",\"incumbent_depth\":" + std::to_string(report.incumbent_depth);
+  out += ",\"gap\":" + std::to_string(report.gap);
+  out += ",\"total_seconds\":" + json_number(report.total_seconds);
+  out += ",\"timings\":{";
   for (std::size_t i = 0; i < report.timings.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << json_escape(report.timings[i].phase)
-        << "\":" << json_number(report.timings[i].seconds);
+    if (i != 0) out += ',';
+    out += "\"" + json_escape(report.timings[i].phase) +
+           "\":" + json_number(report.timings[i].seconds);
   }
-  out << "},\"telemetry\":{";
+  out += "},\"telemetry\":{";
   for (std::size_t i = 0; i < report.telemetry.size(); ++i) {
-    if (i != 0) out << ",";
-    out << "\"" << json_escape(report.telemetry[i].first) << "\":\""
-        << json_escape(report.telemetry[i].second) << "\"";
+    if (i != 0) out += ',';
+    out += "\"" + json_escape(report.telemetry[i].first) + "\":\"" +
+           json_escape(report.telemetry[i].second) + "\"";
   }
-  out << "}}";
-  return out.str();
+  out += "}}";
+  return out;
 }
 
 namespace {

@@ -3,9 +3,12 @@
 #include "io/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <stdexcept>
 
 namespace ebmf::io::json {
@@ -175,19 +178,42 @@ class Parser {
     }
   }
 
+  /// Advance past the run of plain string bytes (no '"', '\\' or control
+  /// character), eight bytes per step while a whole word is plain.
+  void skip_plain_run() {
+    constexpr std::uint64_t kOnes = 0x0101010101010101ULL;
+    constexpr std::uint64_t kHighs = 0x8080808080808080ULL;
+    const auto has_zero_byte = [](std::uint64_t v) {
+      return ((v - kOnes) & ~v & kHighs) != 0;
+    };
+    while (text_.size() - pos_ >= 8) {
+      std::uint64_t x;
+      std::memcpy(&x, text_.data() + pos_, sizeof x);
+      const bool special = ((x - kOnes * 0x20) & ~x & kHighs) != 0 ||
+                           has_zero_byte(x ^ (kOnes * '"')) ||
+                           has_zero_byte(x ^ (kOnes * '\\'));
+      if (special) break;
+      pos_ += 8;
+    }
+    while (pos_ < text_.size()) {
+      const auto c = static_cast<unsigned char>(text_[pos_]);
+      if (c == '"' || c == '\\' || c < 0x20) break;
+      ++pos_;
+    }
+  }
+
   std::string parse_string() {
     expect('"');
     std::string out;
     while (true) {
+      const std::size_t run = pos_;
+      skip_plain_run();
+      out.append(text_, run, pos_ - run);
       if (pos_ >= text_.size()) fail("unterminated string");
       const char c = text_[pos_++];
       if (c == '"') return out;
       if (static_cast<unsigned char>(c) < 0x20)
         fail("raw control character in string");
-      if (c != '\\') {
-        out.push_back(c);
-        continue;
-      }
       if (pos_ >= text_.size()) fail("unterminated escape");
       const char e = text_[pos_++];
       switch (e) {
@@ -257,12 +283,20 @@ class Parser {
             text_[pos_] == '+' || text_[pos_] == '-'))
       ++pos_;
     if (pos_ == start) fail("expected a value");
-    const std::string token = text_.substr(start, pos_ - start);
-    char* end = nullptr;
-    const double value = std::strtod(token.c_str(), &end);
-    if (end != token.c_str() + token.size() || !std::isfinite(value)) {
+    const char* const first = text_.data() + start;
+    const char* const last = text_.data() + pos_;
+    double value = 0.0;
+    const auto [end, ec] = std::from_chars(first, last, value);
+    bool ok = ec == std::errc() && end == last;
+    if (ec == std::errc::result_out_of_range && end == last) {
+      // Underflow reads as (sub)normal zero, as strtod has it; overflow
+      // comes back infinite and is refused below.
+      value = std::strtod(std::string(first, last).c_str(), nullptr);
+      ok = true;
+    }
+    if (!ok || !std::isfinite(value)) {
       pos_ = start;
-      fail("malformed number '" + token + "'");
+      fail("malformed number '" + std::string(first, last) + "'");
     }
     Value v;
     v.type_ = Value::Type::Number;

@@ -2,6 +2,7 @@
 
 #include "io/request_io.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <sstream>
@@ -45,8 +46,11 @@ std::string string_field(const json::Value& object, const char* key,
   return field->as_string();
 }
 
-/// The pattern field as a ';'-joined row text (string or array form).
-std::string pattern_text(const json::Value& object) {
+/// The pattern field as a ';'-joined row text (string or array form). The
+/// string form is returned in place; only the array form is joined, into
+/// `joined`.
+const std::string& pattern_text(const json::Value& object,
+                                std::string& joined) {
   const json::Value* field = object.find("pattern");
   if (field == nullptr) fail("missing required field 'pattern'");
   if (field->is_string()) {
@@ -55,14 +59,13 @@ std::string pattern_text(const json::Value& object) {
   }
   if (field->is_array()) {
     if (field->size() == 0) fail("field 'pattern' is empty");
-    std::string text;
     for (std::size_t i = 0; i < field->size(); ++i) {
       if (!field->at(i).is_string())
         fail("field 'pattern' rows must be strings");
-      if (i != 0) text += ';';
-      text += field->at(i).as_string();
+      if (i != 0) joined += ';';
+      joined += field->at(i).as_string();
     }
-    return text;
+    return joined;
   }
   fail("field 'pattern' must be a string or an array of row strings");
 }
@@ -188,7 +191,8 @@ WireRequest parse_wire_request(const std::string& line) {
   if (op == "put") {
     // Replica cache write: canonical pattern + strategy + full report.
     wire.op = WireOp::Put;
-    const std::string pattern = pattern_text(document);
+    std::string joined;
+    const std::string& pattern = pattern_text(document, joined);
     if (has_dont_care_cells(pattern)) fail("'put' patterns must be dense");
     try {
       request.matrix = BinaryMatrix::parse(pattern);
@@ -218,7 +222,8 @@ WireRequest parse_wire_request(const std::string& line) {
     wire.has_trace = true;
   }
 
-  const std::string pattern = pattern_text(document);
+  std::string joined;
+  const std::string& pattern = pattern_text(document, joined);
   const bool masked = has_dont_care_cells(pattern);
   try {
     if (masked)
@@ -432,27 +437,29 @@ std::string wire_request_json(const WireRequest& wire) {
 std::string wire_response_json(const engine::SolveReport& report,
                                bool include_partition, std::int64_t id) {
   std::string line = engine::to_json(report);
-  if (id >= 0)
-    line = "{\"id\":" + std::to_string(id) + "," + line.substr(1);
+  if (id >= 0) line.insert(1, "\"id\":" + std::to_string(id) + ",");
   if (!include_partition) return line;
   // Splice the partition before the closing brace of the report object.
-  std::ostringstream tail;
-  tail << ",\"partition\":[";
+  const auto append_indices = [&line](const BitVec& bits) {
+    char digits[24];
+    for (std::size_t k = bits.find_first(); k < bits.size();
+         k = bits.find_next(k)) {
+      if (line.back() != '[') line += ',';
+      line.append(digits, std::to_chars(digits, digits + sizeof digits, k).ptr);
+    }
+  };
+  line.pop_back();  // drop the report's closing '}' and re-close below
+  line += ",\"partition\":[";
   for (std::size_t t = 0; t < report.partition.size(); ++t) {
-    if (t != 0) tail << ",";
-    tail << "{\"rows\":[";
-    const auto rows = report.partition[t].rows.ones();
-    for (std::size_t k = 0; k < rows.size(); ++k)
-      tail << (k == 0 ? "" : ",") << rows[k];
-    tail << "],\"cols\":[";
-    const auto cols = report.partition[t].cols.ones();
-    for (std::size_t k = 0; k < cols.size(); ++k)
-      tail << (k == 0 ? "" : ",") << cols[k];
-    tail << "]}";
+    if (t != 0) line += ',';
+    line += "{\"rows\":[";
+    append_indices(report.partition[t].rows);
+    line += "],\"cols\":[";
+    append_indices(report.partition[t].cols);
+    line += "]}";
   }
-  tail << "]}";
-  line.pop_back();  // drop the report's closing '}' and re-close via tail
-  return line + tail.str();
+  line += "]}";
+  return line;
 }
 
 namespace {

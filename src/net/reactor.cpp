@@ -273,7 +273,12 @@ class EventLoop {
       ::epoll_ctl(epoll_fd_, EPOLL_CTL_DEL, conn->fd_, nullptr);
       conns_.erase(conn->fd_);
     }
-    ::close(conn->fd_);
+    {
+      // Under out_mutex_: a worker's write-through in Conn::send must not
+      // see the fd recycled between its closed_ check and its write.
+      std::lock_guard<std::mutex> lock(conn->out_mutex_);
+      ::close(conn->fd_);
+    }
     server_->note_closed(conn, aborted);
   }
 
@@ -473,19 +478,50 @@ class EventLoop {
 bool Conn::send(std::string bytes) {
   bool need_flush = false;
   bool overflow = false;
+  bool dead = false;
   {
     std::lock_guard<std::mutex> lock(out_mutex_);
     if (closed_.load(std::memory_order_acquire) || closing_after_flush_)
       return false;
-    out_bytes_ += bytes.size();
-    out_.push_back(std::move(bytes));
-    overflow = out_bytes_ > server_->options_.write_hard_limit;
-    need_flush = !flush_queued_;
-    flush_queued_ = true;
+    if (out_.empty() && !flush_queued_) {
+      // Nothing is queued ahead of these bytes: write them through now and
+      // queue only what the socket did not take. close_conn closes the fd
+      // under out_mutex_, so it cannot be recycled under this write.
+      std::size_t sent = 0;
+      if (fault::should_drop_write()) {  // EBMF_FAULT seams, as in flush
+        ::shutdown(fd_, SHUT_RDWR);
+        dead = true;
+      }
+      const std::size_t limit = dead ? 0 : fault::maybe_tear(bytes.size());
+      while (!dead && sent < limit) {
+        const ssize_t n =
+            ::send(fd_, bytes.data() + sent, limit - sent, MSG_NOSIGNAL);
+        if (n < 0) {
+          if (errno == EINTR) continue;
+          if (errno != EAGAIN && errno != EWOULDBLOCK) dead = true;
+          break;
+        }
+        sent += static_cast<std::size_t>(n);
+      }
+      if (!dead && limit < bytes.size()) {  // torn by the drill
+        ::shutdown(fd_, SHUT_RDWR);
+        dead = true;
+      }
+      if (!dead && sent == bytes.size()) return true;
+      bytes.erase(0, sent);
+    }
+    if (!dead) {
+      out_bytes_ += bytes.size();
+      out_.push_back(std::move(bytes));
+      overflow = out_bytes_ > server_->options_.write_hard_limit;
+      need_flush = !flush_queued_;
+      flush_queued_ = true;
+    }
   }
   ConnPtr self = shared_from_this();
-  if (overflow) {
-    // Slow reader past the hard limit: the connection is beyond saving.
+  if (dead || overflow) {
+    // A failed write-through, or a slow reader past the hard limit: the
+    // connection is beyond saving.
     loop_->post([loop = loop_, self] { loop->close_conn(self, true); });
     return false;
   }
@@ -737,6 +773,8 @@ void ReactorServer::begin_drain() {
     EventLoop* raw = loop.get();
     raw->post([this, raw] {
       for (const ConnPtr& conn : connections()) {
+        // Interest and fds are loop-only state: each loop drains its own.
+        if (conn->loop_ != raw) continue;
         raw->update_interest(conn);
         dispatch_input(conn);
       }

@@ -10,9 +10,10 @@
 /// lines, or binary frames after a `{"op":"upgrade"}` line flips the
 /// framing — see net/frame.h) are extracted in micro-batches and handed to
 /// the worker pool, at most one batch in flight per connection, so
-/// pipelined replies stay in request order. Replies are enqueued on a
-/// bounded per-connection write queue the owning loop drains with writev —
-/// a whole micro-batch of replies corks into one syscall.
+/// pipelined replies stay in request order. A reply is written straight to
+/// the socket by the thread that produced it when nothing is queued ahead
+/// of it; otherwise (or for the rest of a short write) it joins a bounded
+/// per-connection write queue the owning loop drains with writev.
 ///
 /// Backpressure and death:
 ///  * a slow reader first pauses our reads (write queue past the soft
@@ -65,13 +66,17 @@ class EventLoop;
 class ReactorServer;
 
 /// One accepted connection. Handlers hold it by shared_ptr; all methods
-/// are safe from any thread. Reads, interest changes, and the actual
-/// writev flushes happen only on the owning event loop.
+/// are safe from any thread. Reads, interest changes, and the write
+/// queue's writev flushes happen only on the owning event loop; send()
+/// writes through on the caller's thread only while that queue is empty.
 class Conn : public std::enable_shared_from_this<Conn> {
  public:
-  /// Enqueue raw bytes (already framed: line + '\n', or a full frame).
-  /// False when the connection is closed or closing. Crossing the hard
-  /// write limit aborts the connection (slow reader).
+  /// Send raw bytes (already framed: line + '\n', or a full frame): written
+  /// through on the caller's thread when the write queue is empty and no
+  /// flush is pending, else (and for a short write's remainder) queued for
+  /// the loop. False when the connection is closed, closing, or the write
+  /// failed. Crossing the hard write limit aborts the connection (slow
+  /// reader).
   bool send(std::string bytes);
 
   /// Like send() but drops the bytes instead of growing the queue past the

@@ -1,5 +1,5 @@
 /// \file progress.cpp
-/// \brief ProgressSink storage, fan-out, and frame JSON.
+/// \brief ProgressSink storage, wakeups, and frame JSON.
 
 #include "obs/progress.h"
 
@@ -36,9 +36,7 @@ struct ProgressSink::Impl {
   mutable std::mutex mutex;
   mutable std::condition_variable cv;
   std::vector<ProgressFrame> frames;  ///< Newest kKeep, oldest first.
-  std::vector<std::pair<std::uint64_t, Listener>> listeners;
   std::uint64_t next_seq = 0;
-  std::uint64_t next_token = 1;
   bool done = false;
 };
 
@@ -47,21 +45,14 @@ std::shared_ptr<ProgressSink::Impl> ProgressSink::make_impl() {
 }
 
 void ProgressSink::publish(ProgressFrame frame) {
-  std::vector<std::pair<std::uint64_t, Listener>> fanout;
   {
     const std::lock_guard<std::mutex> lock(impl_->mutex);
     frame.seq = impl_->next_seq++;
-    impl_->frames.push_back(frame);
+    impl_->frames.push_back(std::move(frame));
     if (impl_->frames.size() > kKeep) {
       impl_->frames.erase(impl_->frames.begin());
     }
-    fanout = impl_->listeners;  // copy: a listener may unsubscribe itself
   }
-  std::vector<std::uint64_t> dead;
-  for (const auto& [token, listener] : fanout) {
-    if (!listener(frame)) dead.push_back(token);
-  }
-  for (const std::uint64_t token : dead) unsubscribe(token);
   impl_->cv.notify_all();
 }
 
@@ -93,29 +84,11 @@ std::uint64_t ProgressSink::published() const {
   return impl_->next_seq;
 }
 
-std::uint64_t ProgressSink::subscribe(Listener listener) {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  const std::uint64_t token = impl_->next_token++;
-  impl_->listeners.emplace_back(token, std::move(listener));
-  return token;
-}
-
-void ProgressSink::unsubscribe(std::uint64_t token) {
-  const std::lock_guard<std::mutex> lock(impl_->mutex);
-  for (auto it = impl_->listeners.begin(); it != impl_->listeners.end();
-       ++it) {
-    if (it->first == token) {
-      impl_->listeners.erase(it);
-      return;
-    }
-  }
-}
-
-bool ProgressSink::wait_finished(double seconds) const {
+bool ProgressSink::wait_published(std::uint64_t seen, double seconds) const {
   std::unique_lock<std::mutex> lock(impl_->mutex);
   impl_->cv.wait_for(
       lock, std::chrono::duration<double>(seconds < 0 ? 0 : seconds),
-      [this] { return impl_->done; });
+      [this, seen] { return impl_->done || impl_->next_seq > seen; });
   return impl_->done;
 }
 

@@ -8,18 +8,14 @@
 /// that already honours the shared budget can publish without new plumbing:
 /// the anytime `local` strategy publishes on every improving incumbent, the
 /// SAP bound race on every wave. The server registers the sink of each
-/// in-flight request under its wire id; `{"op":"watch","id":N}` subscribes
-/// a connection and pushes one JSONL frame per publish until the solve
-/// finishes.
+/// in-flight request under its wire id; `{"op":"watch","id":N}` runs a
+/// stream thread that waits on the sink and sends one JSONL frame per
+/// publish until the solve finishes.
 ///
-/// Publishing never blocks the solver: listeners are invoked inline under
-/// the sink mutex, but the server-side listener writes to the watcher's
-/// socket with MSG_DONTWAIT and drops frames a slow watcher can't absorb —
-/// a stalled or disconnected subscriber costs the solver one failed
-/// syscall, after which the listener unregisters itself.
+/// Publishing never blocks the solver on a watcher: it only stores the
+/// frame and wakes the waiters; the stream threads do the socket writes.
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -41,18 +37,15 @@ struct ProgressFrame {
 /// Render one frame as a JSON object (the watch stream's line body).
 [[nodiscard]] std::string progress_frame_json(const ProgressFrame& frame);
 
-/// Thread-safe frame buffer + fan-out. One per in-flight solve; shared by
-/// shared_ptr between the publishing strategy (via Budget) and watchers.
+/// Thread-safe frame buffer with a wakeup per publish. One per in-flight
+/// solve; shared by shared_ptr between the publishing strategy (via Budget)
+/// and watchers.
 class ProgressSink {
  public:
   /// Frames retained for late subscribers (the newest kKeep).
   static constexpr std::size_t kKeep = 256;
 
-  /// Called on each publish. Return false to unsubscribe (e.g. the
-  /// watcher's socket died). Must not block.
-  using Listener = std::function<bool(const ProgressFrame&)>;
-
-  /// Stamp `seq`, retain the frame, and fan it out to live listeners.
+  /// Stamp `seq`, retain the frame, and wake the waiters.
   void publish(ProgressFrame frame);
 
   /// Mark the solve finished and wake every waiter. Idempotent.
@@ -69,14 +62,10 @@ class ProgressSink {
   /// Total frames ever published.
   [[nodiscard]] std::uint64_t published() const;
 
-  /// Register a listener; returns a token for unsubscribe().
-  std::uint64_t subscribe(Listener listener);
-  void unsubscribe(std::uint64_t token);
-
-  /// Block up to `seconds` for finish(); true when finished. Watch
-  /// handlers poll this in a loop so they can also notice a dead
-  /// subscriber socket between waits.
-  bool wait_finished(double seconds) const;
+  /// Block up to `seconds` until more than `seen` frames were published or
+  /// the solve finished; true when finished. Watch handlers poll this in a
+  /// loop so they can also notice a dead subscriber socket between waits.
+  bool wait_published(std::uint64_t seen, double seconds) const;
 
  private:
   struct Impl;

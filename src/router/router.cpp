@@ -1448,6 +1448,9 @@ void Router::Impl::prepare_task(const rnet::Message& message,
     task.trace = std::make_shared<obs::TraceRecorder>(ctx);
   }
 
+  // The client's matrix stays with the task for the lift's re-validation;
+  // the forward carries the canonical pattern instead (set below).
+  task.original = std::move(wire.request.matrix);
   io::WireRequest forward = wire;
   forward.id = static_cast<std::int64_t>(task.router_id);
   if (task.trace) {
@@ -1469,9 +1472,8 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   }
 
   task.canonical_mode = true;
-  task.original = wire.request.matrix;
   std::uint64_t span_start = obs::steady_micros();
-  task.canonical = canon::canonicalize(wire.request.matrix);
+  task.canonical = canon::canonicalize(task.original);
   if (task.trace)
     task.trace->record("router.canon", obs::new_span_id(), task.root_span,
                        span_start, obs::steady_micros());
@@ -2029,18 +2031,26 @@ void Router::start() {
 
   impl.reactor = std::make_unique<rnet::ReactorServer>(
       std::move(reactor_options), std::move(callbacks));
-  impl.reactor->start();
-  impl.self_endpoint =
-      impl.options.advertise.empty()
-          ? impl.options.host + ":" + std::to_string(impl.reactor->port())
-          : impl.options.advertise;
-  if (!impl.options.peers.empty()) {
+  const auto make_lease = [&impl](std::uint16_t port) {
+    impl.self_endpoint =
+        impl.options.advertise.empty()
+            ? impl.options.host + ":" + std::to_string(port)
+            : impl.options.advertise;
+    if (impl.options.peers.empty()) return;
     cluster::LeaderLease::Options lease_options;
     lease_options.self = impl.self_endpoint;
     lease_options.ttl = std::chrono::duration_cast<cluster::LeaseClock::duration>(
         std::chrono::duration<double, std::milli>(impl.options.lease_ttl_ms));
     impl.lease = std::make_unique<cluster::LeaderLease>(lease_options);
-  }
+  };
+  // A peer's hello can arrive the moment the port is bound, so the lease
+  // exists before the reactor serves whenever the endpoint is known up
+  // front; only an ephemeral port without --advertise waits for the bind.
+  const bool endpoint_known =
+      impl.options.port != 0 || !impl.options.advertise.empty();
+  if (endpoint_known) make_lease(impl.options.port);
+  impl.reactor->start();
+  if (!endpoint_known) make_lease(impl.reactor->port());
   impl.stopping = false;
   impl.running = true;
   impl.health_thread = std::thread([&impl]() { impl.health_loop(); });

@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <numeric>
+#include <unordered_map>
 #include <utility>
 
 #include "support/contracts.h"
@@ -77,36 +78,60 @@ std::uint64_t hash_multiset(std::uint64_t own,
 }
 
 WlColors wl_colors(const BinaryMatrix& m) {
+  const std::size_t rows = m.rows();
+  const std::size_t cols = m.cols();
+  // The bipartite adjacency, built once for every round: row i's columns
+  // are row_adj[row_start[i] .. row_start[i+1]), column j's rows likewise.
+  std::vector<std::size_t> row_start(rows + 1, 0);
+  std::vector<std::size_t> col_start(cols + 1, 0);
+  std::vector<std::size_t> row_adj;
+  row_adj.reserve(m.ones_count());
+  for (std::size_t i = 0; i < rows; ++i) {
+    for (std::size_t j = m.row(i).find_first(); j < cols;
+         j = m.row(i).find_next(j)) {
+      row_adj.push_back(j);
+      ++col_start[j + 1];
+    }
+    row_start[i + 1] = row_adj.size();
+  }
+  for (std::size_t j = 0; j < cols; ++j) col_start[j + 1] += col_start[j];
+  std::vector<std::size_t> col_adj(row_adj.size());
+  {
+    std::vector<std::size_t> fill(col_start.begin(), col_start.end() - 1);
+    for (std::size_t i = 0; i < rows; ++i)
+      for (std::size_t k = row_start[i]; k < row_start[i + 1]; ++k)
+        col_adj[fill[row_adj[k]]++] = i;
+  }
+
   WlColors colors;
-  colors.row.resize(m.rows());
-  colors.col.resize(m.cols());
-  const BinaryMatrix t = m.transposed();
-  for (std::size_t i = 0; i < m.rows(); ++i)
-    colors.row[i] = 0x517cc1b727220a95ULL * m.row(i).count();
-  for (std::size_t j = 0; j < m.cols(); ++j)
-    colors.col[j] = 0x2545f4914f6cdd1dULL * t.row(j).count();
+  colors.row.resize(rows);
+  colors.col.resize(cols);
+  for (std::size_t i = 0; i < rows; ++i)
+    colors.row[i] = 0x517cc1b727220a95ULL * (row_start[i + 1] - row_start[i]);
+  for (std::size_t j = 0; j < cols; ++j)
+    colors.col[j] = 0x2545f4914f6cdd1dULL * (col_start[j + 1] - col_start[j]);
 
   // A few rounds individualize everything refinement can; components are
   // small after dedup, so a fixed cap is plenty.
-  const std::size_t rounds = m.rows() + m.cols() > 64 ? 8 : 6;
+  const std::size_t rounds = rows + cols > 64 ? 8 : 6;
   std::vector<std::uint64_t> scratch;
+  WlColors next;
+  next.row.resize(rows);
+  next.col.resize(cols);
   for (std::size_t round = 0; round < rounds; ++round) {
-    WlColors next = colors;
-    for (std::size_t i = 0; i < m.rows(); ++i) {
+    for (std::size_t i = 0; i < rows; ++i) {
       scratch.clear();
-      for (std::size_t j = m.row(i).find_first(); j < m.cols();
-           j = m.row(i).find_next(j))
-        scratch.push_back(colors.col[j]);
+      for (std::size_t k = row_start[i]; k < row_start[i + 1]; ++k)
+        scratch.push_back(colors.col[row_adj[k]]);
       next.row[i] = hash_multiset(colors.row[i], scratch);
     }
-    for (std::size_t j = 0; j < m.cols(); ++j) {
+    for (std::size_t j = 0; j < cols; ++j) {
       scratch.clear();
-      for (std::size_t i = t.row(j).find_first(); i < m.rows();
-           i = t.row(j).find_next(i))
-        scratch.push_back(colors.row[i]);
+      for (std::size_t k = col_start[j]; k < col_start[j + 1]; ++k)
+        scratch.push_back(colors.row[col_adj[k]]);
       next.col[j] = hash_multiset(colors.col[j], scratch);
     }
-    colors = std::move(next);
+    std::swap(colors, next);
   }
   return colors;
 }
@@ -233,10 +258,23 @@ Canonical canonicalize(const BinaryMatrix& m) {
   c.reduction = reduce_duplicates(m);
   std::vector<Component> components = split_components(c.reduction.reduced);
 
+  // Equal component matrices sort identically, so each distinct one is
+  // sorted once: kron(pattern, patch) repeats every block once per class
+  // of equal patch rows.
   std::vector<SortedComponent> sorted;
   sorted.reserve(components.size());
+  std::unordered_map<std::uint64_t, std::size_t> first_with_hash;
   for (const Component& component : components) {
-    sorted.push_back(sort_component(component.matrix));
+    const BinaryMatrix& block = component.matrix;
+    std::uint64_t h = block.rows() * 0x9e3779b97f4a7c15ULL + block.cols();
+    for (std::size_t i = 0; i < block.rows(); ++i)
+      for (const std::uint64_t w : block.row(i).words())
+        h = (h ^ w) * 0xff51afd7ed558ccdULL;
+    const auto [it, fresh] = first_with_hash.try_emplace(h, sorted.size());
+    if (!fresh && components[it->second].matrix == block)
+      sorted.push_back(sorted[it->second]);
+    else
+      sorted.push_back(sort_component(block));
     c.sort_passes = std::max(c.sort_passes, sorted.back().passes);
   }
 
@@ -254,14 +292,17 @@ Canonical canonicalize(const BinaryMatrix& m) {
     total_cols += s.matrix.cols();
   }
 
-  BinaryMatrix pattern(total_rows, total_cols);
+  // Block-diagonal assembly: each block row is shifted into place.
+  std::vector<BitVec> pattern_rows;
+  pattern_rows.reserve(total_rows);
   std::size_t row_at = 0;
   std::size_t col_at = 0;
   for (const std::size_t idx : order) {
     SortedComponent& s = sorted[idx];
-    for (std::size_t i = 0; i < s.matrix.rows(); ++i)
-      for (std::size_t j = 0; j < s.matrix.cols(); ++j)
-        if (s.matrix.test(i, j)) pattern.set(row_at + i, col_at + j);
+    for (std::size_t i = 0; i < s.matrix.rows(); ++i) {
+      pattern_rows.emplace_back(total_cols);
+      pattern_rows.back().or_at(s.matrix.row(i), col_at);
+    }
     c.row_offset.push_back(row_at);
     c.col_offset.push_back(col_at);
     row_at += s.matrix.rows();
@@ -270,7 +311,7 @@ Canonical canonicalize(const BinaryMatrix& m) {
     c.row_order.push_back(std::move(s.row_order));
     c.col_order.push_back(std::move(s.col_order));
   }
-  c.pattern = std::move(pattern);
+  c.pattern = BinaryMatrix::from_rows(std::move(pattern_rows), total_cols);
   c.key = hash_matrix(c.pattern);
   return c;
 }

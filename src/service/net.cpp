@@ -145,20 +145,36 @@ std::string with_id_prefix(const std::string& line, std::int64_t id) {
 }
 
 bool LineBuffer::pop(std::string& line) {
-  const std::size_t nl = buffer_.find('\n');
-  if (nl == std::string::npos) return false;
-  line = buffer_.substr(0, nl);
-  buffer_.erase(0, nl + 1);
+  const std::size_t nl = buffer_.find('\n', consumed_ + scanned_);
+  if (nl == std::string::npos) {
+    scanned_ = buffer_.size() - consumed_;
+    return false;
+  }
+  line.assign(buffer_, consumed_, nl - consumed_);
+  consumed_ = nl + 1;
+  scanned_ = 0;
+  if (consumed_ == buffer_.size()) {
+    clear();
+  } else if (consumed_ > 65536 && consumed_ * 2 > buffer_.size()) {
+    buffer_.erase(0, consumed_);
+    consumed_ = 0;
+  }
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return true;
 }
 
 bool LineBuffer::flush(std::string& line) {
-  if (buffer_.empty()) return false;
-  line.swap(buffer_);
-  buffer_.clear();
+  if (size() == 0) return false;
+  line.assign(buffer_, consumed_, std::string::npos);
+  clear();
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return true;
+}
+
+void LineBuffer::clear() noexcept {
+  buffer_.clear();
+  consumed_ = 0;
+  scanned_ = 0;
 }
 
 void TcpListener::listen(const std::string& host, std::uint16_t port) {

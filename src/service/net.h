@@ -56,7 +56,10 @@ std::string with_id_prefix(const std::string& line, std::int64_t id);
 
 /// Frames complete '\n'-terminated lines (CR trimmed) out of appended
 /// chunks. flush() hands back a trailing unterminated line — `printf | nc`
-/// clients do not always send the final newline.
+/// clients do not always send the final newline. Popped bytes are only
+/// skipped (a consumed offset, compacted once it dominates the buffer, as
+/// FrameBuffer does) and the newline search resumes where the last one
+/// stopped, so a long line arriving in many chunks is scanned once.
 class LineBuffer {
  public:
   void append(const char* data, std::size_t n) { buffer_.append(data, n); }
@@ -67,10 +70,18 @@ class LineBuffer {
   /// Pop the unterminated tail (EOF handling); false when empty.
   bool flush(std::string& line);
 
-  [[nodiscard]] std::size_t size() const noexcept { return buffer_.size(); }
+  /// Drop everything buffered (a reconnect starts a fresh stream).
+  void clear() noexcept;
+
+  /// Unconsumed bytes.
+  [[nodiscard]] std::size_t size() const noexcept {
+    return buffer_.size() - consumed_;
+  }
 
  private:
   std::string buffer_;
+  std::size_t consumed_ = 0;  ///< Bytes of buffer_ already popped.
+  std::size_t scanned_ = 0;   ///< Unconsumed bytes known to hold no '\n'.
 };
 
 /// A bound, listening IPv4 socket with a poll-based accept step — the

@@ -280,8 +280,9 @@ std::string watch_frame_line(std::int64_t id, const obs::ProgressFrame& f) {
 /// mode), then a final `{"done":true}` line when the solve retires. The
 /// stream runs on its own tracked thread so it never occupies a reactor
 /// worker for the lifetime of someone else's solve; the publishing solver
-/// is never blocked either — frames flow through conn->try_send, which
-/// drops on backpressure and reports a closed connection.
+/// is never blocked either — the stream thread reads the sink's retained
+/// frames and sends them through conn->try_send, which drops on
+/// backpressure and reports a closed connection.
 void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                                 rnet::WireMode mode) {
   obs::ProgressSinkPtr sink;
@@ -312,33 +313,26 @@ void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
 void Server::Impl::watch_stream(const rnet::ConnPtr& conn,
                                 const obs::ProgressSinkPtr& sink,
                                 std::int64_t id, rnet::WireMode mode) {
-  // Replay the retained history first, so a late subscriber still sees the
-  // whole trajectory; the live subscription then filters to newer frames.
+  // This thread sends every retained frame itself, in seq order, waking on
+  // each publish; the publishing solver never writes to a socket. try_send
+  // drops frames a slow subscriber can't absorb (watch is diagnostics, not
+  // data plane) and is false only on a closed connection.
   bool dead = false;
-  std::uint64_t last_seq = 0;
-  for (const obs::ProgressFrame& frame : sink->frames()) {
-    last_seq = frame.seq;
-    if (!conn->try_send(framed_json(mode, watch_frame_line(id, frame)))) {
-      dead = true;
-      break;
+  std::uint64_t next_seq = 0;  // the first frame not yet sent
+  for (;;) {
+    const bool finished = sink->wait_published(next_seq, 0.05);
+    for (const obs::ProgressFrame& frame : sink->frames()) {
+      if (frame.seq < next_seq) continue;
+      next_seq = frame.seq + 1;
+      if (!conn->try_send(framed_json(mode, watch_frame_line(id, frame)))) {
+        dead = true;
+        break;
+      }
     }
+    if (dead || finished || stopping.load(std::memory_order_relaxed) ||
+        conn->closed())
+      break;
   }
-  std::uint64_t token = 0;
-  if (!dead) {
-    token = sink->subscribe(
-        [conn, mode, last_seq, id](const obs::ProgressFrame& frame) {
-          if (frame.seq <= last_seq) return true;  // replayed already
-          // try_send drops frames a slow subscriber can't absorb (watch is
-          // diagnostics, not data plane) and is false only on a closed
-          // connection — which unsubscribes this listener.
-          return conn->try_send(framed_json(mode, watch_frame_line(id, frame)));
-        });
-  }
-  while (!dead && !stopping.load(std::memory_order_relaxed) &&
-         !conn->closed()) {
-    if (sink->wait_finished(0.05)) break;
-  }
-  if (token != 0) sink->unsubscribe(token);
   if (!dead && !conn->closed()) {
     std::string done_line = "{";
     if (id >= 0) done_line += "\"id\":" + std::to_string(id) + ",";
@@ -605,9 +599,6 @@ struct PendingLine {
   bool admitted = false;
   bool split = false;
   bool include_partition = false;
-  /// The request carried a finite budget (deadline/conflicts/nodes): a
-  /// non-Optimal reply is a budget cut and gets the flight-recorder tail.
-  bool budgeted = false;
   /// Reply framing: the mode + frame type of the triggering message. A
   /// type-1 binary solve answers with a type-2 report (or type-3 error);
   /// everything else answers JSON, framed per `mode`.
@@ -813,8 +804,6 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     double seconds = wire.budget_seconds;
     if (ceiling > 0) seconds = seconds > 0 ? std::min(seconds, ceiling) : ceiling;
     if (seconds > 0) wire.request.budget.deadline = Deadline::after(seconds);
-    p.budgeted = seconds > 0 || wire.request.budget.max_conflicts >= 0 ||
-                 wire.request.budget.max_nodes > 0;
     if (state) wire.request.budget.cancel = state->cancel;
 
     if (wire.id >= 0) {
@@ -925,9 +914,12 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
         impl.stat_requests.fetch_add(1, std::memory_order_relaxed);
         impl.obs_requests->add(1);
         done = &report;
-        if (p.budgeted && report.status != engine::Status::Optimal) {
-          // A budget-cut reply carries the flight recorder's tail — the
-          // "why did my budget run out" answer rides the reply itself.
+        const std::string* cache_hit = report.find_telemetry("cache_hit");
+        if (report.status == engine::Status::Bounded &&
+            !(cache_hit != nullptr && *cache_hit == "true")) {
+          // A reply whose own solve was cut carries the flight recorder's
+          // tail — the "why did my budget run out" answer rides the reply
+          // itself. Cache hits and heuristic answers cut nothing.
           events_json = obs::events_json(obs::snapshot_events(32));
         }
         if (!binary_solve) {
@@ -1242,25 +1234,16 @@ void Client::send_line(const std::string& line) {
 std::string Client::read_line() {
   if (fd_ < 0) throw std::runtime_error("client is closed");
   char chunk[16384];
+  std::string line;
   while (true) {
-    const std::size_t nl = buffer_.find('\n');
-    if (nl != std::string::npos) {
-      std::string line = buffer_.substr(0, nl);
-      buffer_.erase(0, nl + 1);
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      return line;
-    }
+    if (buffer_.pop(line)) return line;
     const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
     if (n > 0) {
       buffer_.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
     if (n < 0 && errno == EINTR) continue;
-    if (!buffer_.empty()) {
-      std::string line;
-      line.swap(buffer_);
-      return line;
-    }
+    if (buffer_.flush(line)) return line;
     throw std::runtime_error("server closed the connection");
   }
 }

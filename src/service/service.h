@@ -46,6 +46,7 @@
 
 #include "engine/engine.h"
 #include "service/cache.h"
+#include "service/net.h"
 
 namespace ebmf::service {
 
@@ -227,7 +228,7 @@ class Client {
   double backoff_ms_ = 50.0;   ///< Next inter-rotation pause.
   std::uint64_t jitter_state_; ///< Cheap xorshift state for jitter.
   int fd_ = -1;
-  std::string buffer_;
+  net::LineBuffer buffer_;
   /// Answered-id cache (insertion-ordered, bounded).
   std::vector<Answered> answered_;
 };

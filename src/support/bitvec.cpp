@@ -87,6 +87,20 @@ BitVec& BitVec::operator-=(const BitVec& other) {
   return *this;
 }
 
+void BitVec::or_at(const BitVec& src, std::size_t offset) {
+  EBMF_EXPECTS(offset + src.n_ <= n_);
+  const std::size_t base = offset >> 6;
+  const std::size_t shift = offset & 63;
+  for (std::size_t k = 0; k < src.w_.size(); ++k) {
+    const std::uint64_t w = src.w_[k];
+    if (w == 0) continue;
+    w_[base + k] |= w << shift;
+    // The spill is nonzero only when it holds bits below n_.
+    const std::uint64_t spill = shift == 0 ? 0 : w >> (64 - shift);
+    if (spill != 0) w_[base + k + 1] |= spill;
+  }
+}
+
 std::vector<std::size_t> BitVec::ones() const {
   std::vector<std::size_t> out;
   out.reserve(count());

@@ -119,6 +119,10 @@ class BitVec {
   /// In-place set difference (*this AND NOT other). Precondition: same size.
   BitVec& operator-=(const BitVec& other);
 
+  /// OR `src` into *this with src bit 0 landing on bit `offset` (word
+  /// shifts, not per-bit sets). Precondition: offset + src.size() <= size().
+  void or_at(const BitVec& src, std::size_t offset);
+
   /// Set union.
   friend BitVec operator|(BitVec a, const BitVec& b) { return a |= b; }
   /// Set intersection.

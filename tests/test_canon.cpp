@@ -6,6 +6,11 @@
 
 #include <gtest/gtest.h>
 
+#include <numeric>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "benchgen/generators.h"
 #include "engine/engine.h"
 #include "ftqc/patterns.h"
@@ -145,6 +150,83 @@ TEST(Canon, KeyHexIsStable32Digits) {
   const Canonical c = canonicalize(BinaryMatrix::parse("10;01"));
   EXPECT_EQ(c.key.hex().size(), 32u);
   EXPECT_EQ(c.key.hex(), canonicalize(BinaryMatrix::parse("10;01")).key.hex());
+}
+
+/// The base pattern of each bench_service cache family, generated from
+/// seed 2024 in the order the families draw from one generator.
+std::vector<std::pair<std::string, BinaryMatrix>> service_family_patterns() {
+  Rng rng(2024);
+  std::vector<std::pair<std::string, BinaryMatrix>> out;
+  for (std::size_t row = 0; row < 13; ++row)
+    out.emplace_back("boundary_row(13," + std::to_string(row) + ")",
+                     ftqc::boundary_row_patch(13, row));
+  out.emplace_back("checkerboard(12,0)", ftqc::checkerboard_patch(12, 0));
+  out.emplace_back("checkerboard(12,1)", ftqc::checkerboard_patch(12, 1));
+  out.emplace_back("logical(48x48,0.04)",
+                   ftqc::logical_pattern(48, 48, 0.04, rng));
+  out.emplace_back("qldpc(12,18,0.3)",
+                   ftqc::qldpc_block_pattern(12, 18, 0.3, rng));
+  out.emplace_back("kron(logical(4x4,0.5),checkerboard(3))",
+                   BinaryMatrix::kron(ftqc::logical_pattern(4, 4, 0.5, rng),
+                                      ftqc::checkerboard_patch(3, 0)));
+  out.emplace_back("gap(20x20,k=6)",
+                   benchgen::gap_matrix(20, 20, 6, rng).matrix);
+  return out;
+}
+
+TEST(Canon, GoldenKeysOfTheServiceFamilies) {
+  // The canonical form is a wire and storage contract: cache snapshots are
+  // keyed by it and a router fleet shards by it, so a change to any key
+  // below strands every saved entry and splits a mixed-version fleet.
+  // Logical scale, then the physical kron(pattern, d=4 checkerboard patch).
+  const std::string boundary = "8b2de55a4af806c40167085b5a6954bb";
+  const std::string boundary_physical = "b8db9c181b6d1de60504c6261af351f1";
+  const std::string checker = "b8db9c181b6d1de60504c6261af351f1";
+  const std::string checker_physical = "fafb8dcf7a88e2aa5afca019881226dd";
+  std::vector<std::pair<std::string, std::string>> golden(
+      13, {boundary, boundary_physical});
+  golden.insert(golden.end(),
+                {{checker, checker_physical},
+                 {checker, checker_physical},
+                 {"6bd5da5f5a88698ffdb0b5509ba8bd74",
+                  "cec6f50378682030c59b806f5804a61f"},
+                 {"ee5036d23e77e32a20c16426662767d5",
+                  "b58240aa664ab8dd97a06d02e0904252"},
+                 {"46ff9529c4e5b7812ff0c61edfef01d6",
+                  "7dbc1322e7dcc2510a4dcd6294f79626"},
+                 {"c55f5ae31cbc4a790217e3833cc07866",
+                  "62948fd6d0b8545ec42419b8f6de0629"}});
+  const auto families = service_family_patterns();
+  ASSERT_EQ(families.size(), golden.size());
+  const BinaryMatrix patch = ftqc::checkerboard_patch(4, 0);
+  for (std::size_t f = 0; f < families.size(); ++f) {
+    const auto& [name, pattern] = families[f];
+    EXPECT_EQ(canonicalize(pattern).key.hex(), golden[f].first) << name;
+    EXPECT_EQ(canonicalize(BinaryMatrix::kron(pattern, patch)).key.hex(),
+              golden[f].second)
+        << "kron(" << name << ", checkerboard(4))";
+  }
+}
+
+TEST(Canon, PermutedPhysicalFamilyPatternsKeepTheirKey) {
+  // The served traffic: every family pattern at the physical scale, in
+  // fresh row/column orientations, lands on its golden key.
+  Rng rng(9001);
+  const BinaryMatrix patch = ftqc::checkerboard_patch(4, 0);
+  for (const auto& [name, pattern] : service_family_patterns()) {
+    const BinaryMatrix physical = BinaryMatrix::kron(pattern, patch);
+    const CacheKey key = canonicalize(physical).key;
+    for (int trial = 0; trial < 3; ++trial) {
+      std::vector<std::size_t> rows(physical.rows());
+      std::vector<std::size_t> cols(physical.cols());
+      std::iota(rows.begin(), rows.end(), 0);
+      std::iota(cols.begin(), cols.end(), 0);
+      rng.shuffle(rows);
+      rng.shuffle(cols);
+      EXPECT_EQ(canonicalize(permuted(physical, rows, cols)).key, key)
+          << name;
+    }
+  }
 }
 
 }  // namespace

@@ -4,10 +4,72 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "support/rng.h"
 
 namespace ebmf {
 namespace {
+
+/// The per-character parser BinaryMatrix::parse replaced, kept as the
+/// reference: rows split on ';' and '\n', blank rows dropped, ' ', '\t'
+/// and '\r' skipped anywhere, any other byte rejected, and the rows handed
+/// to from_strings (which rejects ragged ones).
+BinaryMatrix parse_reference(const std::string& text) {
+  std::vector<std::string> rows;
+  std::string cur;
+  for (const char ch : text) {
+    if (ch == ';' || ch == '\n') {
+      if (!cur.empty()) rows.push_back(std::move(cur));
+      cur.clear();
+    } else if (ch == '0' || ch == '1') {
+      cur.push_back(ch);
+    } else {
+      EBMF_EXPECTS(ch == ' ' || ch == '\t' || ch == '\r');
+    }
+  }
+  if (!cur.empty()) rows.push_back(std::move(cur));
+  return BinaryMatrix::from_strings(rows);
+}
+
+/// A random `rows` x `cols` grid as text: mixed ';' and '\n' separators
+/// (sometimes doubled, leading or trailing) and, when `blanks`, spaces,
+/// tabs and CRs dropped inside the cell runs.
+std::string grid_text(std::size_t rows, std::size_t cols, bool blanks,
+                      Rng& rng) {
+  static const char kBlanks[] = {' ', '\t', '\r'};
+  std::string text;
+  if (rng.chance(0.2)) text += ';';
+  for (std::size_t i = 0; i < rows; ++i) {
+    if (i != 0) {
+      text += rng.chance(0.5) ? ';' : '\n';
+      if (rng.chance(0.1)) text += rng.chance(0.5) ? ';' : '\n';
+    }
+    for (std::size_t j = 0; j < cols; ++j) {
+      if (blanks && rng.chance(0.05)) text += kBlanks[rng.below(3)];
+      text += rng.chance(0.4) ? '1' : '0';
+    }
+  }
+  if (rng.chance(0.2)) text += '\n';
+  return text;
+}
+
+/// Both parsers accept `text` and agree, or both reject it.
+void expect_same_parse(const std::string& text) {
+  bool reference_threw = false;
+  BinaryMatrix expected;
+  try {
+    expected = parse_reference(text);
+  } catch (const ContractViolation&) {
+    reference_threw = true;
+  }
+  if (reference_threw) {
+    EXPECT_THROW((void)BinaryMatrix::parse(text), ContractViolation) << text;
+    return;
+  }
+  EXPECT_EQ(BinaryMatrix::parse(text), expected) << text;
+}
 
 TEST(Matrix, DefaultEmpty) {
   BinaryMatrix m;
@@ -35,6 +97,60 @@ TEST(Matrix, ParseAcceptsNewlinesAndSpaces) {
 
 TEST(Matrix, ParseRejectsGarbage) {
   EXPECT_THROW((void)BinaryMatrix::parse("10;2x"), ContractViolation);
+}
+
+TEST(MatrixParse, MatchesPerCharacterParserOnRandomGrids) {
+  Rng rng(2024);
+  for (const std::size_t cols : {1, 7, 8, 9, 63, 64, 65, 200}) {
+    for (int trial = 0; trial < 24; ++trial) {
+      const std::size_t rows = 1 + rng.below(12);
+      const std::string text = grid_text(rows, cols, trial % 2 == 1, rng);
+      expect_same_parse(text);
+      const BinaryMatrix m = BinaryMatrix::parse(text);
+      EXPECT_EQ(m.rows(), rows);
+      EXPECT_EQ(m.cols(), cols);
+    }
+  }
+}
+
+TEST(MatrixParse, BlanksInsideAnEightByteRun) {
+  // Every offset of a blank inside (and at either edge of) a 16-cell row.
+  for (const char blank : {' ', '\t', '\r'}) {
+    for (std::size_t at = 0; at <= 16; ++at) {
+      std::string row = "0110100111010010";
+      row.insert(at, 1, blank);
+      const std::string text = row + ";" + row + "\n" + row;
+      expect_same_parse(text);
+      EXPECT_EQ(BinaryMatrix::parse(text).row(0).to_string(),
+                "0110100111010010");
+    }
+  }
+}
+
+TEST(MatrixParse, InvalidByteInsideARunThrows) {
+  for (const char bad : {'2', 'x', '*', '\0', '/', ':', '\x81'}) {
+    for (std::size_t at = 0; at < 17; ++at) {
+      std::string text = "10110100101101001;01001011010010110";
+      text[at] = bad;
+      EXPECT_THROW((void)parse_reference(text), ContractViolation);
+      EXPECT_THROW((void)BinaryMatrix::parse(text), ContractViolation)
+          << "bad byte " << static_cast<int>(bad) << " at " << at;
+    }
+  }
+}
+
+TEST(MatrixParse, RaggedRowsThrow) {
+  Rng rng(9);
+  for (const std::size_t cols : {1, 7, 8, 9, 63, 64, 65, 200}) {
+    std::string text = grid_text(3, cols, false, rng);
+    text += ';' + std::string(cols + 1, '1');
+    expect_same_parse(text);
+    EXPECT_THROW((void)BinaryMatrix::parse(text), ContractViolation);
+    std::string shorter = grid_text(2, cols + 1, true, rng) + "\n" +
+                          std::string(cols, '0');
+    expect_same_parse(shorter);
+    EXPECT_THROW((void)BinaryMatrix::parse(shorter), ContractViolation);
+  }
 }
 
 TEST(Matrix, FromStringsRejectsRaggedRows) {

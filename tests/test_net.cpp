@@ -1,13 +1,16 @@
 // Tests for ebmf::net: the frame codec (header validation, incremental
-// decoding at every split offset), the binary payload codecs, and the
-// reactor-backed wire through a real service — upgrade negotiation,
-// JSON-vs-binary reply equivalence, pipelined ordering across the
-// upgrade, protocol errors, torn writes, idle reaping, and drain.
+// decoding at every split offset), the line framer, the binary payload
+// codecs, the reactor-backed wire through a real service — upgrade
+// negotiation, JSON-vs-binary reply equivalence, pipelined ordering across
+// the upgrade, protocol errors, torn writes, idle reaping, and drain — and
+// the reactor's write-through send path.
 
 #include "net/frame.h"
 
 #include <gtest/gtest.h>
 
+#include <arpa/inet.h>
+#include <netinet/in.h>
 #include <sys/socket.h>
 #include <sys/time.h>
 #include <unistd.h>
@@ -15,6 +18,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
+#include <algorithm>
 #include <cstdint>
 #include <string>
 #include <thread>
@@ -24,6 +28,7 @@
 #include "io/json.h"
 #include "io/request_io.h"
 #include "net/frame_client.h"
+#include "net/reactor.h"
 #include "service/net.h"
 #include "service/service.h"
 #include "support/fault.h"
@@ -134,6 +139,44 @@ TEST(Frame, BufferBadHeaderIsTerminal) {
   EXPECT_EQ(buffer.pop(&frame), FrameBuffer::Pop::Bad);
   EXPECT_FALSE(buffer.error().empty());
   EXPECT_EQ(buffer.pop(&frame), FrameBuffer::Pop::Bad);
+}
+
+// ---- line framer -----------------------------------------------------------
+
+TEST(LineBuffer, PipelinedLinesInOddChunksPopInOrder) {
+  // 10k lines of varied length (some CR-terminated), appended in chunks
+  // whose sizes share no factor with the line lengths, popped as they
+  // complete: every line comes back once, in order, CR trimmed.
+  std::string stream;
+  std::vector<std::string> sent;
+  for (int i = 0; i < 10000; ++i) {
+    std::string line = "{\"id\":" + std::to_string(i) + ",\"pad\":\"" +
+                       std::string(static_cast<std::size_t>(i % 97), 'x') +
+                       "\"}";
+    sent.push_back(line);
+    stream += line;
+    stream += i % 3 == 0 ? "\r\n" : "\n";
+  }
+  snet::LineBuffer buffer;
+  std::vector<std::string> popped;
+  std::string line;
+  const std::size_t chunks[] = {1, 7, 13, 333, 4099, 65537};
+  std::size_t at = 0;
+  for (std::size_t k = 0; at < stream.size(); ++k) {
+    const std::size_t n = std::min(chunks[k % 6], stream.size() - at);
+    buffer.append(stream.data() + at, n);
+    at += n;
+    while (buffer.pop(line)) popped.push_back(line);
+  }
+  EXPECT_EQ(popped, sent);
+  EXPECT_EQ(buffer.size(), 0u);
+  EXPECT_FALSE(buffer.flush(line));
+  // An unterminated tail stays put until flushed.
+  buffer.append("{\"tail\":1}\r", 11);
+  EXPECT_FALSE(buffer.pop(line));
+  ASSERT_TRUE(buffer.flush(line));
+  EXPECT_EQ(line, "{\"tail\":1}");
+  EXPECT_EQ(buffer.size(), 0u);
 }
 
 // ---- binary payload codecs -------------------------------------------------
@@ -623,6 +666,209 @@ TEST(Wire, DrainUnderMixedProtocolLoadLosesNothingAccepted) {
   server.stop();
   for (auto& t : clients) t.join();
   EXPECT_FALSE(server.running());
+}
+
+// ---- write-through sends ---------------------------------------------------
+
+/// Read one '\n'-terminated line through a LineBuffer; false on EOF.
+bool read_framed_line(int fd, snet::LineBuffer& buffer, std::string& line) {
+  while (!buffer.pop(line)) {
+    char chunk[4096];
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return false;
+    buffer.append(chunk, static_cast<std::size_t>(n));
+  }
+  return true;
+}
+
+constexpr int kStreamLines = 2000;
+
+/// Connect with a small receive window, so a peer's sends fill the socket
+/// and the reactor has to queue.
+int connect_small_window(std::uint16_t port) {
+  const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd < 0) return -1;
+  const int tiny = 4096;
+  ::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &tiny, sizeof tiny);
+  sockaddr_in addr{};
+  addr.sin_family = AF_INET;
+  addr.sin_port = htons(port);
+  addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
+  if (::connect(fd, reinterpret_cast<sockaddr*>(&addr), sizeof addr) != 0) {
+    ::close(fd);
+    return -1;
+  }
+  return fd;
+}
+
+TEST(WriteThrough, RepliesAndAWatchStreamStayInOrderOnOneConnection) {
+  // The handler sends replies while another thread streams try_send frames
+  // on the same connection, as a watch does, to a reader slower than the
+  // writers, so sends keep finding the socket full or the queue non-empty:
+  // each side's lines arrive whole and in order, and no reply is lost.
+  ReactorOptions options;
+  options.event_loops = 1;
+  options.workers = 2;
+  options.write_soft_limit = 1u << 20;
+  ReactorCallbacks callbacks;
+  const std::string pad(1500, '.');
+  callbacks.on_batch = [&pad](const ConnPtr& conn,
+                              std::vector<Message> batch) {
+    for (const Message& message : batch) {
+      if (message.payload != "go") continue;
+      std::thread stream([conn, &pad] {
+        for (int k = 0; k < kStreamLines; ++k)
+          if (!conn->try_send("w" + std::to_string(k) + pad + "\n")) return;
+      });
+      for (int k = 0; k < kStreamLines; ++k)
+        conn->send("r" + std::to_string(k) + pad + "\n");
+      stream.join();
+      conn->send("end\n");
+    }
+  };
+  ReactorServer server(options, callbacks);
+  server.start();
+  const int fd = connect_small_window(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(snet::write_line(fd, "go"));
+  snet::LineBuffer buffer;
+  std::string line;
+  int next_reply = 0;
+  int last_frame = -1;
+  for (int read = 0; read_framed_line(fd, buffer, line) && line != "end";
+       ++read) {
+    if (read % 50 == 0)
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    ASSERT_GT(line.size(), pad.size()) << "torn line";
+    const std::string head = line.substr(0, line.size() - pad.size());
+    ASSERT_EQ(line.substr(head.size()), pad) << "torn line";
+    const int k = std::stoi(head.substr(1));
+    ASSERT_EQ(head, head.substr(0, 1) + std::to_string(k)) << "torn line";
+    if (head[0] == 'r') {
+      ASSERT_EQ(k, next_reply) << "reply out of order";
+      ++next_reply;
+    } else {
+      ASSERT_EQ(head[0], 'w') << "torn line";
+      ASSERT_GT(k, last_frame) << "stream frame out of order";
+      last_frame = k;
+    }
+  }
+  EXPECT_EQ(line, "end");
+  EXPECT_EQ(next_reply, kStreamLines);
+  EXPECT_GE(last_frame, 0);
+  ::close(fd);
+  server.shutdown();
+}
+
+TEST(WriteThrough, ShortWriteFallsBackToTheLoopQueue) {
+  // A reply far larger than the socket buffers can hold while the peer
+  // reads nothing: the write-through takes what fits and send() returns at
+  // once with the rest queued for the loop's writev. Everything then
+  // arrives intact, and a reply sent after it arrives after it.
+  ReactorOptions options;
+  options.event_loops = 1;
+  options.workers = 1;
+  options.write_soft_limit = 1u << 20;
+  options.write_hard_limit = 64u << 20;
+  const std::string big = [] {
+    std::string text(12u << 20, 'b');
+    for (std::size_t i = 0; i < text.size(); i += 4096)
+      text[i] = static_cast<char>('a' + (i / 4096) % 26);
+    return text;
+  }();
+  std::atomic<bool> sent{false};
+  ReactorCallbacks callbacks;
+  callbacks.on_batch = [&](const ConnPtr& conn, std::vector<Message> batch) {
+    for (const Message& message : batch) {
+      if (message.payload != "big") continue;
+      EXPECT_TRUE(conn->send(big + "\n"));
+      sent.store(true);
+      EXPECT_TRUE(conn->send("after\n"));
+    }
+  };
+  ReactorServer server(options, callbacks);
+  server.start();
+  const int fd = connect_small_window(server.port());
+  ASSERT_GE(fd, 0);
+  ASSERT_TRUE(snet::write_line(fd, "big"));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (!sent.load() && std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  ASSERT_TRUE(sent.load()) << "send() blocked on a full socket";
+  snet::LineBuffer buffer;
+  std::string line;
+  ASSERT_TRUE(read_framed_line(fd, buffer, line));
+  EXPECT_TRUE(line == big) << "the big reply arrived damaged ("
+                           << line.size() << " of " << big.size() << " bytes)";
+  ASSERT_TRUE(read_framed_line(fd, buffer, line));
+  EXPECT_EQ(line, "after");
+  ::close(fd);
+  server.shutdown();
+}
+
+TEST(WriteThrough, PeerCloseRacingSendIsSafe) {
+  // Handlers flood replies at peers that reset mid-stream, while a
+  // bystander keeps dialing fresh connections (which reuse the freed
+  // descriptors): every flood ends with send() refusing, and the bystander
+  // only ever reads its own replies.
+  ReactorOptions options;
+  options.event_loops = 1;
+  options.workers = 4;
+  options.write_soft_limit = 256u << 10;
+  options.write_hard_limit = 8u << 20;
+  std::atomic<int> floods_ended{0};
+  ReactorCallbacks callbacks;
+  callbacks.on_batch = [&](const ConnPtr& conn, std::vector<Message> batch) {
+    for (const Message& message : batch) {
+      if (message.payload == "flood") {
+        const std::string line = std::string(1000, 'x') + "\n";
+        while (conn->send(line)) {
+        }
+        floods_ended.fetch_add(1);
+      } else {
+        conn->send("pong " + message.payload + "\n");
+      }
+    }
+  };
+  ReactorServer server(options, callbacks);
+  server.start();
+  std::atomic<bool> done{false};
+  std::atomic<int> bystander_ok{0};
+  std::thread bystander([&] {
+    for (int i = 0; !done.load(); ++i) {
+      const int fd = snet::tcp_connect("127.0.0.1", server.port());
+      const std::string ping = "p" + std::to_string(i);
+      ASSERT_TRUE(snet::write_line(fd, ping));
+      snet::LineBuffer buffer;
+      std::string line;
+      ASSERT_TRUE(read_framed_line(fd, buffer, line));
+      ASSERT_EQ(line, "pong " + ping) << "a reply crossed connections";
+      bystander_ok.fetch_add(1);
+      ::close(fd);
+    }
+  });
+  constexpr int kFloods = 12;
+  for (int round = 0; round < kFloods; ++round) {
+    const int fd = snet::tcp_connect("127.0.0.1", server.port());
+    ASSERT_TRUE(snet::write_line(fd, "flood"));
+    char chunk[4096];
+    ASSERT_GT(::recv(fd, chunk, sizeof chunk, 0), 0);
+    const linger reset{1, 0};  // close with RST while sends are running
+    ::setsockopt(fd, SOL_SOCKET, SO_LINGER, &reset, sizeof reset);
+    ::close(fd);
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (floods_ended.load() < kFloods &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  done.store(true);
+  bystander.join();
+  EXPECT_EQ(floods_ended.load(), kFloods) << "a send() never saw the close";
+  EXPECT_GT(bystander_ok.load(), 0);
+  server.shutdown();
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -463,13 +464,8 @@ TEST(Events, SnapshotMergesThreadRingsAndRendersJson) {
 
 // ---- progress sink ---------------------------------------------------------
 
-TEST(Progress, PublishStampsSeqRetainsAndFansOut) {
+TEST(Progress, PublishStampsSeqRetainsAndWakesWaiters) {
   ProgressSink sink;
-  std::vector<std::uint64_t> seen;
-  const std::uint64_t token = sink.subscribe([&seen](const ProgressFrame& f) {
-    seen.push_back(f.seq);
-    return true;
-  });
   for (int i = 0; i < 5; ++i) {
     ProgressFrame frame;
     frame.incumbent_depth = static_cast<std::uint64_t>(10 - i);
@@ -484,26 +480,23 @@ TEST(Progress, PublishStampsSeqRetainsAndFansOut) {
   for (std::size_t i = 1; i < frames.size(); ++i)
     EXPECT_GT(frames[i].seq, frames[i - 1].seq);
   EXPECT_EQ(sink.last().incumbent_depth, 6u);
-  ASSERT_EQ(seen.size(), 5u);
-  sink.unsubscribe(token);
-  sink.publish(ProgressFrame{});
-  EXPECT_EQ(seen.size(), 5u);  // unsubscribed listeners see nothing
 
-  // A listener that returns false unsubscribes itself after one frame.
-  int calls = 0;
-  sink.subscribe([&calls](const ProgressFrame&) {
-    ++calls;
-    return false;
+  // A waiter that has seen every frame sleeps until the next publish; one
+  // that has not returns at once. Neither reports a finished solve.
+  std::thread publisher([&sink] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    sink.publish(ProgressFrame{});
   });
-  sink.publish(ProgressFrame{});
-  sink.publish(ProgressFrame{});
-  EXPECT_EQ(calls, 1);
+  EXPECT_FALSE(sink.wait_published(5, 10.0));
+  publisher.join();
+  EXPECT_EQ(sink.published(), 6u);
+  EXPECT_FALSE(sink.wait_published(0, 10.0));
+  EXPECT_FALSE(sink.wait_published(6, 0.0));
 
   EXPECT_FALSE(sink.finished());
-  EXPECT_FALSE(sink.wait_finished(0.0));
   sink.finish();
   EXPECT_TRUE(sink.finished());
-  EXPECT_TRUE(sink.wait_finished(0.0));
+  EXPECT_TRUE(sink.wait_published(6, 10.0));
 
   // The frame JSON carries every field the watch stream promises.
   ProgressFrame frame;

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <unordered_map>
+#include <vector>
+
 #include "core/bounds.h"
 #include "core/brute_force.h"
 #include "smt/sap.h"
@@ -27,6 +30,68 @@ TEST(Dedup, CollapsesDuplicatesAndZeros) {
   EXPECT_EQ(r.row_groups[1], (std::vector<std::size_t>{3}));
   EXPECT_EQ(r.col_groups[0], (std::vector<std::size_t>{0, 1}));
   EXPECT_EQ(r.col_groups[1], (std::vector<std::size_t>{2, 3}));
+}
+
+/// The BitVec-keyed reduction reduce_duplicates replaced, kept as the
+/// reference: equal nonzero rows grouped through a hash map in
+/// first-occurrence order, then the same for the columns of the
+/// row-reduced matrix, and the reduced matrix filled cell by cell.
+DuplicateReduction reduce_duplicates_reference(const BinaryMatrix& m) {
+  const auto group = [](const std::vector<BitVec>& lines) {
+    std::unordered_map<BitVec, std::size_t, BitVecHash> index_of;
+    std::vector<std::vector<std::size_t>> groups;
+    for (std::size_t i = 0; i < lines.size(); ++i) {
+      if (lines[i].none()) continue;
+      auto [it, inserted] = index_of.try_emplace(lines[i], groups.size());
+      if (inserted) groups.emplace_back();
+      groups[it->second].push_back(i);
+    }
+    return groups;
+  };
+  DuplicateReduction out;
+  out.original_rows = m.rows();
+  out.original_cols = m.cols();
+  out.row_groups = group(m.row_vectors());
+  BinaryMatrix row_reduced(out.row_groups.size(), m.cols());
+  for (std::size_t i = 0; i < out.row_groups.size(); ++i)
+    for (std::size_t j = 0; j < m.cols(); ++j)
+      if (m.test(out.row_groups[i][0], j)) row_reduced.set(i, j);
+  out.col_groups = group(row_reduced.transposed().row_vectors());
+  out.reduced = BinaryMatrix(out.row_groups.size(), out.col_groups.size());
+  for (std::size_t i = 0; i < out.row_groups.size(); ++i)
+    for (std::size_t j = 0; j < out.col_groups.size(); ++j)
+      if (row_reduced.test(i, out.col_groups[j][0])) out.reduced.set(i, j);
+  return out;
+}
+
+TEST(Dedup, MatchesTheBitVecKeyedReductionOnRandomMatrices) {
+  Rng rng(2024);
+  for (int trial = 0; trial < 300; ++trial) {
+    // Draw a few distinct lines, then repeat them (and zero lines) at
+    // random positions, so both duplicate groups and zeros are common.
+    const std::size_t m = 1 + rng.below(trial % 3 == 0 ? 150 : 40);
+    const std::size_t n = 1 + rng.below(trial % 4 == 0 ? 200 : 70);
+    const BinaryMatrix base =
+        BinaryMatrix::random(1 + rng.below(m), n, 0.05 + 0.5 * rng.uniform01(),
+                             rng);
+    std::vector<std::size_t> column_source(n);
+    for (std::size_t j = 0; j < n; ++j)
+      column_source[j] = j > 0 && rng.chance(0.2) ? rng.below(j) : j;
+    BinaryMatrix a(m, n + rng.below(3));  // trailing zero columns
+    for (std::size_t i = 0; i < m; ++i) {
+      if (rng.chance(0.15)) continue;  // zero row
+      const std::size_t source = rng.below(base.rows());
+      for (std::size_t j = 0; j < n; ++j)
+        if (base.test(source, column_source[j])) a.set(i, j);
+    }
+    const DuplicateReduction got = reduce_duplicates(a);
+    const DuplicateReduction want = reduce_duplicates_reference(a);
+    EXPECT_EQ(got.row_groups, want.row_groups) << "trial " << trial;
+    EXPECT_EQ(got.col_groups, want.col_groups) << "trial " << trial;
+    EXPECT_EQ(got.reduced, want.reduced) << "trial " << trial;
+    EXPECT_EQ(got.original_rows, want.original_rows);
+    EXPECT_EQ(got.original_cols, want.original_cols);
+  }
 }
 
 TEST(Dedup, ZeroMatrixReducesToEmpty) {

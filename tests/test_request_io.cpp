@@ -4,6 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <string>
+#include <utility>
+
 #include "io/json.h"
 
 namespace ebmf::io {
@@ -38,6 +42,66 @@ TEST(Json, MalformedDocumentsThrowWithOffset) {
        {"", "{", "[1,]", "{\"a\":}", "tru", "\"unterminated", "1 2",
         "{\"a\":1,}", "nan", "[1e999]"}) {
     EXPECT_THROW((void)json::Value::parse(bad), std::runtime_error) << bad;
+  }
+}
+
+TEST(Json, EscapesStraddlingAPlainRunDecode) {
+  // An escape at every offset around the eight-byte plain-run steps: the
+  // run before it is copied in bulk, the escape decoded, the rest resumed.
+  const std::string plain = "abcdefghijklmnopqrstu";
+  const std::pair<const char*, const char*> escapes[] = {
+      {"\\n", "\n"},     {"\\\"", "\""},       {"\\\\", "\\"},
+      {"\\/", "/"},      {"\\u0041", "A"},      {"\\u00e9", "\xc3\xa9"},
+      {"\\t\\r", "\t\r"}};
+  for (const auto& [wire, decoded] : escapes) {
+    for (std::size_t at = 0; at <= plain.size(); ++at) {
+      const std::string text =
+          "\"" + plain.substr(0, at) + wire + plain.substr(at) + "\"";
+      const std::string expected =
+          plain.substr(0, at) + decoded + plain.substr(at);
+      EXPECT_EQ(json::Value::parse(text).as_string(), expected) << text;
+    }
+  }
+  // Bytes at and above 0x80 (UTF-8) are plain and copied as they are.
+  EXPECT_EQ(json::Value::parse("\"\xc3\xa9\x7f\xff abcdefgh\xe2\x82\xac\"")
+                .as_string(),
+            "\xc3\xa9\x7f\xff abcdefgh\xe2\x82\xac");
+}
+
+TEST(Json, RawControlCharactersAreRejectedAtAnyOffset) {
+  for (const char control : {'\0', '\x01', '\n', '\t', '\x1f'}) {
+    for (std::size_t at = 0; at < 20; ++at) {
+      std::string body(20, 'x');
+      body[at] = control;
+      EXPECT_THROW((void)json::Value::parse("\"" + body + "\""),
+                   std::runtime_error)
+          << "control " << static_cast<int>(control) << " at " << at;
+    }
+  }
+  EXPECT_THROW((void)json::Value::parse("\"abcdefghijklmnop"),
+               std::runtime_error);
+  EXPECT_THROW((void)json::Value::parse("\"abcdefghijklmno\\"),
+               std::runtime_error);
+}
+
+TEST(Json, NumberGrammarIsPinned) {
+  const std::pair<const char*, double> accepted[] = {
+      {"0", 0.0},        {"-0", -0.0},          {".5", 0.5},
+      {"-.5", -0.5},     {"5.", 5.0},           {"01", 1.0},
+      {"1e3", 1000.0},   {"1E+3", 1000.0},      {"2.5e-1", 0.25},
+      {"1e-999", 0.0},   {"9e15", 9e15},        {"123456789", 123456789.0}};
+  for (const auto& [text, value] : accepted) {
+    const json::Value v = json::Value::parse(std::string("[") + text + "]");
+    EXPECT_EQ(v.at(0).as_number(), value) << text;
+    EXPECT_EQ(std::signbit(v.at(0).as_number()), std::signbit(value)) << text;
+  }
+  // A leading '+' is not JSON; it is refused like the other malformed
+  // tokens (and overflow to infinity is refused too).
+  for (const char* text : {"1e999", "-1e999", "+5", "+.5", "-", "1e", "1.2.3",
+                           "--1", "-+1", ".", "e5", "1e5e5"}) {
+    EXPECT_THROW((void)json::Value::parse(std::string("[") + text + "]"),
+                 std::runtime_error)
+        << text;
   }
 }
 

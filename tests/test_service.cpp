@@ -463,6 +463,31 @@ TEST(Events, BudgetCutReplyCarriesFlightRecorderSnapshot) {
   server.stop();
 }
 
+TEST(Events, WarmHeuristicHitCarriesNoEvents) {
+  Server server(test_options());
+  server.start();
+  Client client("127.0.0.1", server.port());
+  // Fill the flight recorder first, so a wrongly spliced tail would show.
+  const Reply cut(client.round_trip(
+      "{\"pattern\":\"" + hard_pattern(48, 48) +
+      "\",\"strategy\":\"local\",\"budget\":0.2}"));
+  ASSERT_FALSE(cut.is_error());
+  const std::string line = "{\"pattern\":\"" + hard_pattern(24, 32) +
+                           "\",\"strategy\":\"heuristic\",\"trials\":5}";
+  const Reply cold(client.round_trip(line));
+  ASSERT_FALSE(cold.is_error());
+  ASSERT_EQ(cold.document.find("status")->as_string(), "heuristic");
+  EXPECT_EQ(cold.document.find("events"), nullptr)
+      << "a heuristic answer cuts no solve";
+  const Reply warm(client.round_trip(line));
+  ASSERT_FALSE(warm.is_error());
+  EXPECT_EQ(warm.telemetry("cache_hit"), "true");
+  EXPECT_EQ(warm.document.find("status")->as_string(), "heuristic");
+  EXPECT_EQ(warm.document.find("events"), nullptr)
+      << "a cache hit carried unrelated flight-recorder events";
+  server.stop();
+}
+
 TEST(Events, VerbSnapshotsTheRecorderOnDemand) {
   Server server(test_options());
   server.start();
