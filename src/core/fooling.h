@@ -9,8 +9,9 @@
 /// optimality). The bound is not always tight — the Eq. 2 matrix has
 /// r_B = 3 but maximum fooling set 2 — and the maximum fooling set problem
 /// is itself hard, so we provide a greedy heuristic plus an exact
-/// SAT-based search (it doubles as a stress test of the cardinality
-/// encodings). Fooling sets also feed Watson's tensor lower bound (Eq. 5).
+/// branch-and-bound search. SAP runs the exact one before its SAT phase:
+/// a set as large as the packing proves it optimal with no formula built.
+/// Fooling sets also feed Watson's tensor lower bound (Eq. 5).
 
 #include <cstdint>
 #include <utility>
@@ -34,11 +35,14 @@ bool is_fooling_set(const BinaryMatrix& m, const CellSet& cells);
 CellSet greedy_fooling_set(const BinaryMatrix& m, std::size_t trials = 16,
                            std::uint64_t seed = 1);
 
-/// Exact maximum fooling set φ(M) via SAT with cardinality constraints.
-/// Fooling cells must lie on distinct rows and columns, so φ ≤ min(m, n)
-/// and the search solves at most min(m, n) decision problems.
-/// `budget` bounds the work; on exhaustion the best set found so far is
-/// returned (it is still a valid fooling set, possibly not maximum).
-CellSet max_fooling_set(const BinaryMatrix& m, const Budget& budget = {});
+/// Exact maximum fooling set φ(M), found as a maximum clique of the
+/// fooling-compatibility graph by word-parallel branch and bound. Only
+/// sets larger than `floor` are sought, and the search stops once it holds
+/// `target` cells (0 = run to the maximum); a completed search returning at
+/// most `floor` cells proves φ ≤ floor. `budget` bounds the work (deadline
+/// and cancel polled at node checkpoints, `max_nodes`); on exhaustion the
+/// best set so far is returned — maximal, and always a valid fooling set.
+CellSet max_fooling_set(const BinaryMatrix& m, const Budget& budget = {},
+                        std::size_t floor = 0, std::size_t target = 0);
 
 }  // namespace ebmf

@@ -98,8 +98,9 @@ DuplicateReduction reduce_duplicates(const BinaryMatrix& m) {
     for (std::size_t j = row.find_first(); j < m.cols(); j = row.find_next(j))
       columns[j * stride + (i >> 6)] |= std::uint64_t{1} << (i & 63);
   }
-  out.col_groups = group_equal_lines(
-      m.cols(), stride, [&](std::size_t j) { return &columns[j * stride]; });
+  out.col_groups = group_equal_lines(m.cols(), stride, [&](std::size_t j) {
+    return columns.data() + j * stride;
+  });
   const std::size_t cols = out.col_groups.size();
 
   // The reduced matrix: representative rows restricted to representative

@@ -107,8 +107,8 @@ SolveReport solve_sap(const SolveRequest& request) {
 
   SolveReport report;
   report.partition = std::move(result.partition);
-  // certified_lower carries UNSAT-proof tightenings past the rank bound
-  // (the race can certify one even when the budget cuts the search).
+  // certified_lower carries fooling-set and UNSAT tightenings past the rank
+  // bound (the race can certify one even when the budget cuts the search).
   report.lower_bound = std::max(result.rank_lower, result.certified_lower);
   switch (result.status) {
     case SapStatus::Optimal:
@@ -123,9 +123,12 @@ SolveReport solve_sap(const SolveRequest& request) {
   }
   report.add_timing("rank", result.rank_seconds);
   report.add_timing("heuristic", result.heuristic_seconds);
+  report.add_timing("fooling", result.fooling_seconds);
   report.add_timing("smt", result.smt_seconds);
   report.add_telemetry("heuristic.size",
                        static_cast<std::uint64_t>(result.heuristic_size));
+  report.add_telemetry("bound.fooling",
+                       static_cast<std::uint64_t>(result.fooling_size));
   report.add_telemetry("smt.calls",
                        static_cast<std::uint64_t>(result.smt_calls.size()));
   if (!result.smt_calls.empty()) {

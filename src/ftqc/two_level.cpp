@@ -24,8 +24,9 @@ TwoLevelResult solve_two_level(const BinaryMatrix& logical,
   out.product_partition =
       tensor_partition(out.logical.partition, out.physical.partition);
   out.upper_bound = out.product_partition.size();
-  out.phi_logical = max_fooling_set(logical).size();
-  out.phi_physical = max_fooling_set(physical).size();
+  // A budget-cut φ only lowers Eq. 5's product bound, which stays sound.
+  out.phi_logical = max_fooling_set(logical, base.budget).size();
+  out.phi_physical = max_fooling_set(physical, base.budget).size();
   // Eq. 5 needs the true r_B of each factor. When the solve proved
   // optimality the partition size is exact; otherwise substitute the lower
   // bound so the product bound stays sound (r_B appears positively).

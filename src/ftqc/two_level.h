@@ -27,10 +27,10 @@ struct TwoLevelResult {
 
 /// Solve M̂ and M independently through the engine facade and combine
 /// (paper §V). `base` supplies the strategy, budget, and knobs used for
-/// both factors (its matrix/mask fields are ignored); the default request
-/// runs the "auto" portfolio. The product partition is a valid EBMF of
-/// kron(logical, physical); the result carries the Eq. 5 bracket around
-/// the true tensor binary rank.
+/// both factors, and the budget of both φ searches (its matrix/mask fields
+/// are ignored); the default request runs the "auto" portfolio. The
+/// product partition is a valid EBMF of kron(logical, physical); the
+/// result carries the Eq. 5 bracket around the true tensor binary rank.
 TwoLevelResult solve_two_level(const BinaryMatrix& logical,
                                const BinaryMatrix& physical,
                                const engine::SolveRequest& base = {});

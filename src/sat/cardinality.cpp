@@ -57,98 +57,4 @@ void add_exactly_one(Solver& s, const std::vector<Lit>& lits,
   add_at_most_one(s, lits, enc);
 }
 
-void add_at_most_k(Solver& s, const std::vector<Lit>& lits, std::size_t k) {
-  const std::size_t n = lits.size();
-  if (k >= n) return;
-  if (k == 0) {
-    for (Lit l : lits) s.add_clause(l.neg());
-    return;
-  }
-  if (k == 1) {
-    add_at_most_one(s, lits,
-                    n > 8 ? AmoEncoding::Commander : AmoEncoding::Pairwise);
-    return;
-  }
-  // Sinz sequential counter: aux r[i][j] == "at least j+1 true among first
-  // i+1 literals".
-  std::vector<std::vector<Lit>> r(n, std::vector<Lit>(k));
-  for (std::size_t i = 0; i < n; ++i)
-    for (std::size_t j = 0; j < k; ++j) r[i][j] = pos(s.new_var());
-
-  s.add_clause(lits[0].neg(), r[0][0]);
-  for (std::size_t j = 1; j < k; ++j) s.add_clause(r[0][j].neg());
-  for (std::size_t i = 1; i < n; ++i) {
-    s.add_clause(lits[i].neg(), r[i][0]);
-    s.add_clause(r[i - 1][0].neg(), r[i][0]);
-    for (std::size_t j = 1; j < k; ++j) {
-      s.add_clause(Clause{lits[i].neg(), r[i - 1][j - 1].neg(), r[i][j]});
-      s.add_clause(r[i - 1][j].neg(), r[i][j]);
-    }
-    // Overflow: literal i true while k already reached among the prefix.
-    s.add_clause(lits[i].neg(), r[i - 1][k - 1].neg());
-  }
-}
-
-namespace {
-
-/// Build a totalizer node over lits[begin, end): returns one-sided unary
-/// outputs o[0..r-1], where o[i] is implied by "at least i+1 inputs true"
-/// and r = min(count, cap). Counts above cap collapse onto o[cap-1].
-std::vector<Lit> totalizer_tree(Solver& s, const std::vector<Lit>& lits,
-                                std::size_t begin, std::size_t end,
-                                std::size_t cap) {
-  const std::size_t n = end - begin;
-  EBMF_ASSERT(n >= 1);
-  if (n == 1) return {lits[begin]};
-  const std::size_t mid = begin + n / 2;
-  const auto left = totalizer_tree(s, lits, begin, mid, cap);
-  const auto right = totalizer_tree(s, lits, mid, end, cap);
-  const std::size_t r = std::min(n, cap);
-  std::vector<Lit> out;
-  out.reserve(r);
-  for (std::size_t i = 0; i < r; ++i) out.push_back(pos(s.new_var()));
-  for (std::size_t i = 0; i <= left.size(); ++i) {
-    for (std::size_t j = 0; j <= right.size(); ++j) {
-      const std::size_t sum = i + j;
-      if (sum == 0) continue;
-      const std::size_t idx = std::min(sum, r) - 1;
-      Clause clause;
-      if (i > 0) clause.push_back(left[i - 1].neg());
-      if (j > 0) clause.push_back(right[j - 1].neg());
-      clause.push_back(out[idx]);
-      s.add_clause(std::move(clause));
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void add_at_most_k_totalizer(Solver& s, const std::vector<Lit>& lits,
-                             std::size_t k) {
-  const std::size_t n = lits.size();
-  if (k >= n) return;
-  if (k == 0) {
-    for (Lit l : lits) s.add_clause(l.neg());
-    return;
-  }
-  // Outputs truncated at k+1; forbidding the (k+1)-th caps the count.
-  const auto outputs = totalizer_tree(s, lits, 0, n, k + 1);
-  EBMF_ASSERT(outputs.size() == k + 1);
-  s.add_clause(outputs[k].neg());
-}
-
-void add_at_least_k(Solver& s, const std::vector<Lit>& lits, std::size_t k) {
-  EBMF_EXPECTS(k <= lits.size());
-  if (k == 0) return;
-  if (k == 1) {
-    s.add_clause(lits);
-    return;
-  }
-  std::vector<Lit> negs;
-  negs.reserve(lits.size());
-  for (Lit l : lits) negs.push_back(l.neg());
-  add_at_most_k(s, negs, lits.size() - k);
-}
-
 }  // namespace ebmf::sat

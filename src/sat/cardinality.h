@@ -3,11 +3,8 @@
 /// \brief CNF encodings of cardinality constraints over literal sets.
 ///
 /// Used by the one-hot SMT encoding (exactly-one label per matrix cell) and
-/// by the exact maximum-fooling-set search (at-least-k via at-most on the
-/// complements). Two at-most-one encodings are provided because the best
-/// choice depends on set size; at-most-k uses Sinz's sequential counter,
-/// whose O(n·k) auxiliary variables are unit-propagation friendly
-/// (arc-consistent).
+/// by the don't-care completion solver. Two at-most-one encodings are
+/// provided because the best choice depends on set size.
 
 #include <vector>
 
@@ -31,21 +28,5 @@ void add_at_most_one(Solver& s, const std::vector<Lit>& lits,
 /// Precondition: lits is non-empty.
 void add_exactly_one(Solver& s, const std::vector<Lit>& lits,
                      AmoEncoding enc = AmoEncoding::Pairwise);
-
-/// Add clauses enforcing "at most k of `lits` are true"
-/// (Sinz 2005 sequential counter; k == 0 forces all false).
-void add_at_most_k(Solver& s, const std::vector<Lit>& lits, std::size_t k);
-
-/// Add clauses enforcing "at most k of `lits` are true" with the totalizer
-/// encoding (Bailleux & Boutonnet 2003): a balanced tree of unary counters,
-/// outputs truncated at k+1. O(n·k) clauses like the sequential counter but
-/// often propagates better on balanced constraint sets; both are exposed so
-/// the test suite can cross-validate them model-for-model.
-void add_at_most_k_totalizer(Solver& s, const std::vector<Lit>& lits,
-                             std::size_t k);
-
-/// Add clauses enforcing "at least k of `lits` are true"
-/// (at-most-(n-k) over the negations). Precondition: k <= lits.size().
-void add_at_least_k(Solver& s, const std::vector<Lit>& lits, std::size_t k);
 
 }  // namespace ebmf::sat

@@ -13,9 +13,9 @@
 ///  * phase saving,
 ///  * Luby-sequence restarts,
 ///  * LBD/activity-based learned-clause reduction,
-///  * incremental use: add clauses/variables between solve() calls and pass
-///    assumption literals (used by Algorithm 1's decreasing-b narrowing and
-///    by the maximum fooling set search).
+///  * incremental use: add clauses/variables between solve() calls (how
+///    Algorithm 1's decreasing-b loop narrows one formula) and pass
+///    assumption literals.
 ///
 /// Clause storage is a single contiguous arena (sat/arena.h): literals live
 /// inline behind a packed header, clause references are arena offsets, and

@@ -6,6 +6,7 @@
 #include <mutex>
 #include <thread>
 
+#include "core/fooling.h"
 #include "core/preprocess.h"
 #include "engine/thread_pool.h"
 #include "obs/events.h"
@@ -55,6 +56,12 @@ bool smt_encode_affordable(std::size_t cells, std::size_t bound,
   return estimate < 0.5 * budget.deadline.remaining_seconds();
 }
 
+/// Branch-and-bound nodes the fooling-set search may spend before the SAT
+/// phase: a count, not a time slice, so the certificate and the SAT work
+/// after it never depend on the host. Every Table 1 instance that gets this
+/// far settles in under 64 nodes.
+constexpr std::uint64_t kFoolingNodes = 4096;
+
 /// Race width: 0 means "hardware threads"; always clamped to kMaxProbes.
 std::size_t resolve_probes(std::size_t requested) {
   if (requested == 0) {
@@ -64,7 +71,8 @@ std::size_t resolve_probes(std::size_t requested) {
   return std::min(requested, kMaxProbes);
 }
 
-/// The paper's sequential decreasing-b loop (Algorithm 1, lines 2-10).
+/// The paper's sequential decreasing-b loop (Algorithm 1, lines 2-10),
+/// stopping at the certified lower bound.
 /// Preconditions: partition non-optimal, budget not exhausted.
 void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
                           SapResult& result) {
@@ -74,7 +82,7 @@ void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
   smt::LabelFormula formula(m, b, options.encoder);
   result.smt_seconds += phase.seconds();  // encoding time counts too
   result.status = SapStatus::BoundedOnly;
-  while (b >= result.rank_lower) {
+  while (b >= result.certified_lower) {
     phase.restart();
     const sat::SolveResult answer = formula.solve(options.budget);
     const double call_seconds = phase.seconds();
@@ -88,14 +96,12 @@ void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
       result.partition = std::move(p);
       // The extracted partition can use fewer than b rectangles; continue
       // below its size, not just below b.
-      const std::size_t next = result.partition.size() - 1;
-      if (next < result.rank_lower ||
-          result.partition.size() == result.rank_lower) {
+      if (result.partition.size() <= result.certified_lower) {
         result.status = SapStatus::Optimal;
         break;
       }
-      formula.narrow(next);
-      b = next;
+      b = result.partition.size() - 1;
+      formula.narrow(b);
     } else if (answer == sat::SolveResult::Unsat) {
       // No partition with <= b rectangles: the current one (size b+1 or the
       // heuristic's) is optimal.
@@ -138,7 +144,7 @@ void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
                     std::size_t probes, SapResult& result) {
   Stopwatch phase;
   std::size_t hi = result.partition.size();  // best certified upper bound
-  std::size_t cert_lo = result.rank_lower;   // best certified lower bound
+  std::size_t cert_lo = result.certified_lower;  // best certified lower bound
   EBMF_ASSERT(hi >= cert_lo + 1);
   auto base =
       std::make_unique<smt::LabelFormula>(m, hi - 1, options.encoder);
@@ -260,12 +266,12 @@ void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
 SapResult sap_solve_core(const BinaryMatrix& m, const SapOptions& options) {
   Stopwatch total;
   SapResult result;
-
-  if (m.is_zero()) {
-    result.status = SapStatus::Optimal;
+  const auto finish = [&](SapStatus status) {
+    result.status = status;
     result.total_seconds = total.seconds();
-    return result;
-  }
+    return std::move(result);
+  };
+  if (m.is_zero()) return finish(SapStatus::Optimal);
 
   // Lower bound: exact real rank (Eq. 3).
   Stopwatch phase;
@@ -286,31 +292,35 @@ SapResult sap_solve_core(const BinaryMatrix& m, const SapOptions& options) {
   result.heuristic_size = result.partition.size();
   EBMF_ENSURES(static_cast<bool>(validate_partition(m, result.partition)));
 
-  if (result.partition.size() == result.rank_lower) {
-    result.status = SapStatus::Optimal;
-    result.total_seconds = total.seconds();
-    return result;
-  }
+  if (result.partition.size() == result.rank_lower)
+    return finish(SapStatus::Optimal);
   if (!options.use_smt ||
       (options.smt_cell_limit != 0 &&
-       m.ones_count() > options.smt_cell_limit)) {
-    result.status = SapStatus::HeuristicOnly;
-    result.total_seconds = total.seconds();
-    return result;
-  }
-  if (options.budget.exhausted()) {
-    result.status = SapStatus::BoundedOnly;
-    result.total_seconds = total.seconds();
-    return result;
-  }
+       m.ones_count() > options.smt_cell_limit))
+    return finish(SapStatus::HeuristicOnly);
   // The encoders are not interruptible; refuse a formula whose mere
   // construction would blow through the deadline and keep the bracket.
   if (!smt_encode_affordable(m.ones_count(), result.partition.size() - 1,
-                             options.budget)) {
-    result.status = SapStatus::BoundedOnly;
-    result.total_seconds = total.seconds();
-    return result;
+                             options.budget))
+    return finish(SapStatus::BoundedOnly);
+
+  // Fooling-set certificate (paper §II): k 1-cells no rectangle can share
+  // prove r_B ≥ k. Only a set above the rank helps; one as large as the
+  // packing closes the bracket with no formula built.
+  phase.restart();
+  Budget fooling_budget = options.budget;
+  fooling_budget.max_nodes = kFoolingNodes;
+  const CellSet fooling = max_fooling_set(m, fooling_budget, result.rank_lower,
+                                          result.partition.size());
+  result.fooling_seconds = phase.seconds();
+  result.fooling_size = fooling.size();
+  if (fooling.size() > result.rank_lower) {
+    EBMF_ENSURES(is_fooling_set(m, fooling));
+    result.certified_lower = fooling.size();
   }
+  if (result.certified_lower == result.partition.size())
+    return finish(SapStatus::Optimal);
+  if (options.budget.exhausted()) return finish(SapStatus::BoundedOnly);
 
   // SMT phase: query r_B(M) <= b for decreasing b (Algorithm 1, lines
   // 2-10). With a race width > 1 and at least two unresolved bounds, the
@@ -318,7 +328,7 @@ SapResult sap_solve_core(const BinaryMatrix& m, const SapOptions& options) {
   // (which also reuses one incrementally-narrowed formula) is the better
   // fit.
   const std::size_t probes = resolve_probes(options.probes);
-  if (probes >= 2 && result.partition.size() >= result.rank_lower + 2)
+  if (probes >= 2 && result.partition.size() >= result.certified_lower + 2)
     smt_phase_race(m, options, probes, result);
   else
     smt_phase_sequential(m, options, result);
@@ -358,6 +368,8 @@ SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
     aggregate.heuristic_size += sub.heuristic_size;
     aggregate.rank_seconds += sub.rank_seconds;
     aggregate.heuristic_seconds += sub.heuristic_seconds;
+    aggregate.fooling_size += sub.fooling_size;
+    aggregate.fooling_seconds += sub.fooling_seconds;
     aggregate.smt_seconds += sub.smt_seconds;
     aggregate.smt_calls.insert(aggregate.smt_calls.end(),
                                sub.smt_calls.begin(), sub.smt_calls.end());

@@ -6,8 +6,12 @@
 /// 1. Row packing produces a valid EBMF P (upper bound |P| ≥ r_B).
 /// 2. The real rank gives the lower bound (Eq. 3).
 /// 3. If they meet, P is optimal with no search at all.
-/// 4. Otherwise the SMT formula for b = |P|−1 is built and solved with
-///    decreasing b (narrowing incrementally) until UNSAT or b < rank_ℝ(M).
+/// 4. Otherwise a fooling-set search (core/fooling.h) on a fixed node
+///    allowance seeks more than rank_ℝ(M) cells no rectangle can share:
+///    |P| of them prove P optimal with no formula built; fewer, but above
+///    the rank, become the certified lower bound L.
+/// 5. Otherwise the SMT formula for b = |P|−1 is built and solved with
+///    decreasing b (narrowing incrementally) until UNSAT or b < L.
 ///
 /// The procedure is *anytime*: P always holds the best valid partition
 /// found so far, so an expired deadline or exhausted conflict budget
@@ -25,8 +29,8 @@ namespace ebmf {
 
 /// How strong the answer's optimality claim is.
 enum class SapStatus {
-  Optimal,        ///< |P| = r_B proven (rank match or UNSAT certificate).
-  BoundedOnly,    ///< Search ended by budget; rank_lower ≤ r_B ≤ |P|.
+  Optimal,        ///< |P| = r_B proven (rank, fooling set or UNSAT).
+  BoundedOnly,    ///< Search ended by budget; certified_lower ≤ r_B ≤ |P|.
   HeuristicOnly,  ///< SMT disabled by options; same bracketing as above.
 };
 
@@ -69,13 +73,17 @@ struct SapResult {
   Partition partition;            ///< Best valid EBMF found (always valid).
   SapStatus status = SapStatus::HeuristicOnly;
   std::size_t rank_lower = 0;     ///< rank_ℝ(M) (Eq. 3 lower bound).
-  /// Tightest certified lower bound on r_B: rank_lower, raised to b+1 by
-  /// every UNSAT answer at bound b (the race can certify this even when
-  /// the budget expires before the bracket closes).
+  /// Tightest certified lower bound on r_B: rank_lower, raised to the
+  /// fooling set's size when that is larger, and to b+1 by every UNSAT
+  /// answer at bound b (the race can certify this even when the budget
+  /// expires before the bracket closes).
   std::size_t certified_lower = 0;
   std::size_t heuristic_size = 0; ///< |P| after the packing phase.
+  /// Fooling set found before the SAT phase (0 = search not run).
+  std::size_t fooling_size = 0;
   double rank_seconds = 0.0;
   double heuristic_seconds = 0.0;
+  double fooling_seconds = 0.0;
   double smt_seconds = 0.0;       ///< Total across all decision calls.
   double total_seconds = 0.0;
   std::vector<SapSmtCall> smt_calls;

@@ -91,95 +91,5 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(AmoEncoding::Pairwise,
                                          AmoEncoding::Commander)));
 
-std::size_t binom(std::size_t n, std::size_t k) {
-  if (k > n) return 0;
-  std::size_t r = 1;
-  for (std::size_t i = 0; i < k; ++i) r = r * (n - i) / (i + 1);
-  return r;
-}
-
-enum class AmkKind { Sequential, Totalizer };
-
-class AtMostKTest
-    : public ::testing::TestWithParam<
-          std::tuple<std::pair<std::size_t, std::size_t>, AmkKind>> {};
-
-TEST_P(AtMostKTest, AdmitsExactlyTheSmallSubsets) {
-  const auto [nk, kind] = GetParam();
-  const auto [n, k] = nk;
-  Solver s;
-  const auto lits = fresh_lits(s, n);
-  if (kind == AmkKind::Sequential)
-    add_at_most_k(s, lits, k);
-  else
-    add_at_most_k_totalizer(s, lits, k);
-  const auto models = project_models(s, lits);
-  std::size_t expected = 0;
-  for (std::size_t j = 0; j <= k && j <= n; ++j) expected += binom(n, j);
-  EXPECT_EQ(models.size(), expected);
-  for (auto m : models) EXPECT_LE(popcount32(m), k);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, AtMostKTest,
-    ::testing::Combine(
-        ::testing::Values(std::make_pair(std::size_t{4}, std::size_t{0}),
-                          std::make_pair(std::size_t{4}, std::size_t{2}),
-                          std::make_pair(std::size_t{5}, std::size_t{1}),
-                          std::make_pair(std::size_t{5}, std::size_t{3}),
-                          std::make_pair(std::size_t{6}, std::size_t{2}),
-                          std::make_pair(std::size_t{6}, std::size_t{5}),
-                          std::make_pair(std::size_t{7}, std::size_t{4})),
-        ::testing::Values(AmkKind::Sequential, AmkKind::Totalizer)));
-
-class AtLeastKTest : public ::testing::TestWithParam<
-                         std::pair<std::size_t, std::size_t>> {};
-
-TEST_P(AtLeastKTest, AdmitsExactlyTheLargeSubsets) {
-  const auto [n, k] = GetParam();
-  Solver s;
-  const auto lits = fresh_lits(s, n);
-  add_at_least_k(s, lits, k);
-  const auto models = project_models(s, lits);
-  std::size_t expected = 0;
-  for (std::size_t j = k; j <= n; ++j) expected += binom(n, j);
-  EXPECT_EQ(models.size(), expected);
-  for (auto m : models) EXPECT_GE(popcount32(m), k);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Cases, AtLeastKTest,
-    ::testing::Values(std::make_pair(std::size_t{4}, std::size_t{1}),
-                      std::make_pair(std::size_t{5}, std::size_t{5}),
-                      std::make_pair(std::size_t{5}, std::size_t{2}),
-                      std::make_pair(std::size_t{6}, std::size_t{3}),
-                      std::make_pair(std::size_t{7}, std::size_t{6})));
-
-TEST(Cardinality, AtMostKTrivialWhenKGeqN) {
-  Solver s;
-  const auto lits = fresh_lits(s, 4);
-  add_at_most_k(s, lits, 4);
-  EXPECT_EQ(s.num_clauses(), 0u);
-  EXPECT_EQ(s.solve(), SolveResult::Sat);
-}
-
-TEST(Cardinality, AtLeastZeroIsNoop) {
-  Solver s;
-  const auto lits = fresh_lits(s, 3);
-  add_at_least_k(s, lits, 0);
-  EXPECT_EQ(s.num_clauses(), 0u);
-}
-
-TEST(Cardinality, CombinedWindowExactlyK) {
-  // at_least_2 && at_most_2 over 5 literals = C(5,2)=10 models.
-  Solver s;
-  const auto lits = fresh_lits(s, 5);
-  add_at_most_k(s, lits, 2);
-  add_at_least_k(s, lits, 2);
-  const auto models = project_models(s, lits);
-  EXPECT_EQ(models.size(), 10u);
-  for (auto m : models) EXPECT_EQ(popcount32(m), 2u);
-}
-
 }  // namespace
 }  // namespace ebmf::sat

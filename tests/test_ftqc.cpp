@@ -11,6 +11,7 @@
 #include "ftqc/tensor.h"
 #include "ftqc/two_level.h"
 #include "support/rng.h"
+#include "support/stopwatch.h"
 
 namespace ebmf::ftqc {
 namespace {
@@ -125,6 +126,24 @@ TEST(TwoLevel, BoundsBracketAndWitnessValid) {
   const auto physical = checkerboard_patch(3, 0);
   if (logical.is_zero()) GTEST_SKIP();
   const auto r = solve_two_level(logical, physical);
+  EXPECT_LE(r.lower_bound, r.upper_bound);
+  const auto big = BinaryMatrix::kron(logical, physical);
+  EXPECT_TRUE(validate_partition(big, r.product_partition).ok);
+}
+
+TEST(TwoLevel, FoolingSearchesKeepToTheRequestBudget) {
+  // Both φ searches share the request's budget. The exact search is
+  // exponential in the worst case; on this 24×24 logical pattern it alone
+  // needs about twice the 0.2 s budget, on top of the two solves.
+  Rng rng(3);
+  const auto logical = logical_pattern(24, 24, 0.5, rng);
+  const auto physical = checkerboard_patch(3, 0);
+  engine::SolveRequest request;
+  const double budget_s = 0.2;
+  request.budget = Budget::after(budget_s);
+  Stopwatch sw;
+  const auto r = solve_two_level(logical, physical, request);
+  EXPECT_LE(sw.seconds(), budget_s * 1.1 + 0.05);
   EXPECT_LE(r.lower_bound, r.upper_bound);
   const auto big = BinaryMatrix::kron(logical, physical);
   EXPECT_TRUE(validate_partition(big, r.product_partition).ok);

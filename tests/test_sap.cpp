@@ -1,12 +1,16 @@
 // Tests for SAP (Algorithm 1): optimality against brute force, certificate
-// statuses, anytime behaviour, and the paper's benchmark families.
+// statuses (rank, fooling set, UNSAT), anytime behaviour, and the paper's
+// benchmark families.
 
 #include "smt/sap.h"
 
 #include <gtest/gtest.h>
 
 #include "benchgen/generators.h"
+#include "benchgen/suites.h"
 #include "core/brute_force.h"
+#include "core/fooling.h"
+#include "engine/engine.h"
 #include "support/rng.h"
 
 namespace ebmf {
@@ -86,21 +90,109 @@ TEST(Sap, KnownOptimalFamilyShortCircuits) {
 }
 
 TEST(Sap, GapFamilyNeedsUnsatCertificate) {
-  // Family 3 is built so r_B > rank: SAP must run SMT and finish with an
-  // UNSAT certificate (or walk down to the optimum).
+  // Family 3 is built so r_B > rank: SAP must certify past the rank, with
+  // a fooling set as large as the partition or, where the maximum fooling
+  // set falls short, an UNSAT answer (or a walk down to the optimum). Both
+  // certificates occur in this stream (the UNSAT one at t = 38).
   Rng rng(3003);
+  bool saw_fooling_certificate = false;
   bool saw_unsat_certificate = false;
-  for (int t = 0; t < 8; ++t) {
+  for (int t = 0; t < 40; ++t) {
     const auto inst = benchgen::gap_matrix(8, 8, 3, rng);
     const auto r = sap_solve(inst.matrix);
     EXPECT_TRUE(r.proven_optimal());
     EXPECT_TRUE(validate_partition(inst.matrix, r.partition).ok);
     EXPECT_GE(r.depth(), r.rank_lower);
+    EXPECT_EQ(r.certified_lower, r.depth());
+    if (r.depth() > r.rank_lower && r.smt_calls.empty()) {
+      EXPECT_EQ(r.fooling_size, r.depth());
+      saw_fooling_certificate = true;
+    }
     if (!r.smt_calls.empty() &&
         r.smt_calls.back().result == sat::SolveResult::Unsat)
       saw_unsat_certificate = true;
   }
+  EXPECT_TRUE(saw_fooling_certificate);
   EXPECT_TRUE(saw_unsat_certificate);
+}
+
+TEST(Sap, FoolingSetAsLargeAsPackingSkipsSmt) {
+  // I + cyclic shift: real rank 3 (the alternating vector is in the
+  // kernel), but the diagonal is a fooling set of 4 = the packing's size.
+  const auto m = BinaryMatrix::parse("1100;0110;0011;1001");
+  const auto r = sap_solve(m);
+  EXPECT_EQ(r.rank_lower, 3u);
+  ASSERT_TRUE(r.proven_optimal());
+  EXPECT_EQ(r.depth(), 4u);
+  EXPECT_TRUE(r.smt_calls.empty());
+  EXPECT_EQ(r.fooling_size, 4u);
+  EXPECT_EQ(r.certified_lower, 4u);
+
+  // The engine reports the certificate: bound, timing and telemetry.
+  const engine::Engine eng;
+  const auto report = eng.solve(engine::SolveRequest::dense(m, "sap"));
+  EXPECT_TRUE(report.proven_optimal());
+  EXPECT_EQ(report.lower_bound, 4u);
+  EXPECT_EQ(report.telemetry_count("smt.calls"), 0u);
+  EXPECT_EQ(report.telemetry_count("bound.fooling"), 4u);
+  EXPECT_GE(report.timing("fooling"), 0.0);
+}
+
+TEST(Sap, FoolingSetRaisesTheFloorOfTheSmtPhase) {
+  // gap 8×8 k=4, t = 14 of this stream: rank 5, φ = 6, r_B = 7. The SAT
+  // phase starts from the fooling bound and needs one UNSAT answer (at
+  // b = 6), where the rank floor alone would leave b = 5 to refute too.
+  Rng rng(3003);
+  benchgen::GapInstance inst;
+  for (int t = 0; t <= 14; ++t) inst = benchgen::gap_matrix(8, 8, 4, rng);
+  for (const std::size_t probes : {1u, 4u}) {
+    SapOptions options;
+    options.probes = probes;
+    const auto r = sap_solve(inst.matrix, options);
+    EXPECT_EQ(r.rank_lower, 5u);
+    EXPECT_EQ(r.fooling_size, 6u);
+    ASSERT_TRUE(r.proven_optimal());
+    EXPECT_EQ(r.depth(), 7u);
+    for (const auto& call : r.smt_calls) EXPECT_GE(call.bound, 6u);
+  }
+}
+
+TEST(Sap, LowerBoundNeverExceedsBruteForceOnSmallBenchgen) {
+  // Every benchgen instance with at most 16 ones: the reported lower bound
+  // (rank, fooling set or UNSAT) stays at or below the exhaustive r_B, and
+  // an Optimal claim is exactly r_B.
+  using namespace benchgen;
+  std::vector<Instance> all;
+  const auto add = [&](std::vector<Instance> part) {
+    for (auto& inst : part) all.push_back(std::move(inst));
+  };
+  const auto occ = paper_occupancies_small();
+  add(random_suite(3, 4, occ, 5, 1501));
+  add(random_suite(4, 4, occ, 5, 1502));
+  add(random_suite(4, 6, occ, 5, 1503));
+  add(random_suite(5, 5, occ, 5, 1504));
+  add(random_suite(6, 6, occ, 5, 1505));
+  add(known_optimal_suite(5, 5, 5, 2, 1506));
+  add(gap_suite(6, 6, {2, 3}, 4, 1507));
+  add(neutral_atom_suite(4, 5, {0.4, 0.7}, 2, 1508));
+  add(qldpc_suite(2, 4, {0.3, 0.5}, 2, 1509));
+  const engine::Engine eng;
+  std::size_t checked = 0;
+  for (const auto& inst : all) {
+    const BinaryMatrix& m = inst.matrix;
+    if (m.is_zero() || m.ones_count() > 16) continue;
+    const auto brute = brute_force_ebmf(m);
+    ASSERT_TRUE(brute.has_value());
+    const auto report = eng.solve(engine::SolveRequest::dense(m, "sap"));
+    EXPECT_LE(report.lower_bound, brute->binary_rank)
+        << inst.family << " " << inst.config << "\n" << m.to_string();
+    EXPECT_LE(report.telemetry_count("bound.fooling"), brute->binary_rank);
+    if (report.proven_optimal()) {
+      EXPECT_EQ(report.depth(), brute->binary_rank) << m.to_string();
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 150u);
 }
 
 TEST(Sap, HeuristicOnlyModeSkipsSmt) {

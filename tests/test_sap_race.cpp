@@ -65,6 +65,34 @@ TEST(SapRace, GapSuiteMatchesSequential) {
   expect_identical_reports(benchgen::gap_suite(9, 9, {2, 3}, 3, 13), 20);
 }
 
+TEST(SapRace, Table1SmallSuitesMatchSequential) {
+  // Table 1's 10×10 suites at one instance per configuration. The
+  // fooling-set certificate is settled before the race forks, so it and
+  // the bracket it leaves are the same at either width.
+  std::vector<benchgen::Instance> suite =
+      benchgen::random_suite(10, 10, benchgen::paper_occupancies_small(), 1,
+                             21);
+  for (auto& inst : benchgen::known_optimal_suite(10, 10, 10, 1, 22))
+    suite.push_back(std::move(inst));
+  for (auto& inst : benchgen::gap_suite(10, 10, {3, 4, 5}, 2, 23))
+    suite.push_back(std::move(inst));
+  const engine::Engine eng;
+  for (const auto& inst : suite) {
+    const auto sequential = solve_with_probes(eng, inst.matrix, 1, 20);
+    const auto raced = solve_with_probes(eng, inst.matrix, 4, 20);
+    const std::string label = inst.family + " " + inst.config;
+    EXPECT_EQ(sequential.depth(), raced.depth()) << label;
+    EXPECT_EQ(sequential.status, raced.status) << label;
+    EXPECT_EQ(sequential.lower_bound, raced.lower_bound) << label;
+    EXPECT_EQ(sequential.telemetry_count("bound.fooling"),
+              raced.telemetry_count("bound.fooling"))
+        << label;
+    if (inst.known_optimal != 0) {
+      EXPECT_EQ(raced.depth(), inst.known_optimal) << label;
+    }
+  }
+}
+
 TEST(SapRace, WeakHeuristicGapInstancesMatchSequentialAndEngageRace) {
   // With a single packing trial the heuristic overshoots by two or more on
   // these instances, leaving several unresolved bounds — the configuration
