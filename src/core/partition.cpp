@@ -1,5 +1,7 @@
 #include "core/partition.h"
 
+#include <algorithm>
+#include <cstdint>
 #include <sstream>
 
 namespace ebmf {
@@ -7,28 +9,41 @@ namespace ebmf {
 ValidationResult validate_partition(const BinaryMatrix& m, const Partition& p) {
   const std::size_t rows = m.rows();
   const std::size_t cols = m.cols();
-  // Coverage counter per cell; overlap and zero-coverage detected on the fly.
-  std::vector<BitVec> covered(rows, BitVec(cols));
+  const std::size_t width = (cols + 63) / 64;
+  // Covered cells, row-major words; overlap and zero-coverage are detected
+  // on the fly.
+  std::vector<std::uint64_t> covered(rows * width, 0);
   for (std::size_t t = 0; t < p.size(); ++t) {
     const Rectangle& r = p[t];
     if (r.rows.size() != rows || r.cols.size() != cols)
       return {false, "rectangle " + std::to_string(t) + " has wrong shape"};
     if (r.empty())
       return {false, "rectangle " + std::to_string(t) + " is empty"};
+    const std::uint64_t* const rect_cols = r.cols.words().data();
     for (std::size_t i = r.rows.find_first(); i < rows;
          i = r.rows.find_next(i)) {
-      if (!r.cols.subset_of(m.row(i)))
+      const std::uint64_t* const row = m.row(i).words().data();
+      std::uint64_t* const cover = covered.data() + i * width;
+      std::uint64_t outside = 0;
+      std::uint64_t overlap = 0;
+      for (std::size_t w = 0; w < width; ++w) {
+        outside |= rect_cols[w] & ~row[w];
+        overlap |= rect_cols[w] & cover[w];
+      }
+      if (outside != 0)
         return {false, "rectangle " + std::to_string(t) + " covers a 0 in row " +
                            std::to_string(i)};
-      if (covered[i].intersects(r.cols))
+      if (overlap != 0)
         return {false, "rectangle " + std::to_string(t) +
                            " overlaps a previous rectangle in row " +
                            std::to_string(i)};
-      covered[i] |= r.cols;
+      for (std::size_t w = 0; w < width; ++w) cover[w] |= rect_cols[w];
     }
   }
   for (std::size_t i = 0; i < rows; ++i)
-    if (!(covered[i] == m.row(i)))
+    if (!std::equal(covered.begin() + static_cast<std::ptrdiff_t>(i * width),
+                    covered.begin() + static_cast<std::ptrdiff_t>((i + 1) * width),
+                    m.row(i).words().begin()))
       return {false, "row " + std::to_string(i) + " not fully covered"};
   return {true, {}};
 }

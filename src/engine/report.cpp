@@ -1,6 +1,7 @@
 // SolveRequest/SolveReport helpers, JSON rendering, and the error type.
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <string>
@@ -147,29 +148,47 @@ std::string json_number(double value) { return io::json::number(value); }
 }  // namespace
 
 std::string to_json(const SolveReport& report) {
+  // Built with appends only: no operator+ temporaries, which GCC 12's
+  // -Wrestrict misreads at -O3.
   std::string out;
   out.reserve(256);
-  out += "{\"label\":\"" + json_escape(report.label) + "\"";
-  out += ",\"strategy\":\"" + json_escape(report.strategy) + "\"";
+  const auto append_string = [&out](const std::string& value) {
+    out += '"';
+    out += json_escape(value);
+    out += '"';
+  };
+  const auto append_count = [&out](const char* key, std::size_t value) {
+    char digits[24];
+    out += key;
+    out.append(digits, std::to_chars(digits, digits + sizeof digits, value).ptr);
+  };
+  out += "{\"label\":";
+  append_string(report.label);
+  out += ",\"strategy\":";
+  append_string(report.strategy);
   out += ",\"status\":\"";
   out += to_string(report.status);
-  out += "\",\"depth\":" + std::to_string(report.depth());
-  out += ",\"lower_bound\":" + std::to_string(report.lower_bound);
-  out += ",\"upper_bound\":" + std::to_string(report.upper_bound);
-  out += ",\"incumbent_depth\":" + std::to_string(report.incumbent_depth);
-  out += ",\"gap\":" + std::to_string(report.gap);
-  out += ",\"total_seconds\":" + json_number(report.total_seconds);
+  out += '"';
+  append_count(",\"depth\":", report.depth());
+  append_count(",\"lower_bound\":", report.lower_bound);
+  append_count(",\"upper_bound\":", report.upper_bound);
+  append_count(",\"incumbent_depth\":", report.incumbent_depth);
+  append_count(",\"gap\":", report.gap);
+  out += ",\"total_seconds\":";
+  out += json_number(report.total_seconds);
   out += ",\"timings\":{";
   for (std::size_t i = 0; i < report.timings.size(); ++i) {
     if (i != 0) out += ',';
-    out += "\"" + json_escape(report.timings[i].phase) +
-           "\":" + json_number(report.timings[i].seconds);
+    append_string(report.timings[i].phase);
+    out += ':';
+    out += json_number(report.timings[i].seconds);
   }
   out += "},\"telemetry\":{";
   for (std::size_t i = 0; i < report.telemetry.size(); ++i) {
     if (i != 0) out += ',';
-    out += "\"" + json_escape(report.telemetry[i].first) + "\":\"" +
-           json_escape(report.telemetry[i].second) + "\"";
+    append_string(report.telemetry[i].first);
+    out += ':';
+    append_string(report.telemetry[i].second);
   }
   out += "}}";
   return out;

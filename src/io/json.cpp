@@ -2,67 +2,134 @@
 
 #include "io/json.h"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <memory>
 #include <stdexcept>
+#include <vector>
 
 namespace ebmf::io::json {
 
 namespace {
 
-[[noreturn]] void type_error(const char* wanted) {
-  throw std::runtime_error(std::string("json value is not a ") + wanted);
+static_assert(sizeof(Value) <= 16, "a JSON node stays compact");
+
+/// Uninitialized storage for `n` objects of T (nullptr when n == 0).
+template <typename T>
+T* allocate(std::size_t n) {
+  return n == 0 ? nullptr : std::allocator<T>().allocate(n);
+}
+
+template <typename T>
+void release(T* block, std::size_t n) noexcept {
+  if (block == nullptr) return;
+  std::destroy_n(block, n);
+  std::allocator<T>().deallocate(block, n);
+}
+
+/// A block holding copies of [first, first + n).
+template <typename T>
+T* copied(const T* first, std::size_t n) {
+  T* block = allocate<T>(n);
+  try {
+    std::uninitialized_copy_n(first, n, block);
+  } catch (...) {
+    if (block != nullptr) std::allocator<T>().deallocate(block, n);
+    throw;
+  }
+  return block;
 }
 
 }  // namespace
 
-bool Value::as_bool() const {
-  if (type_ != Type::Bool) type_error("bool");
-  return bool_;
+Value::Value(const Value& other)
+    : type_(other.type_), bool_(other.bool_), count_(other.count_) {
+  switch (type_) {
+    case Type::String:
+      u_.string = new std::string(*other.u_.string);
+      break;
+    case Type::Array:
+      u_.array = copied(other.u_.array, count_);
+      break;
+    case Type::Object:
+      u_.object = copied(other.u_.object, count_);
+      break;
+    default:
+      u_ = other.u_;
+  }
 }
 
-double Value::as_number() const {
-  if (type_ != Type::Number) type_error("number");
-  return number_;
+Value& Value::operator=(const Value& other) {
+  if (this != &other) *this = Value(other);
+  return *this;
 }
 
-const std::string& Value::as_string() const {
-  if (type_ != Type::String) type_error("string");
-  return string_;
+Value& Value::operator=(Value&& other) noexcept {
+  if (this != &other) {
+    destroy();
+    type_ = other.type_;
+    bool_ = other.bool_;
+    count_ = other.count_;
+    u_ = other.u_;
+    other.type_ = Type::Null;
+    other.count_ = 0;
+  }
+  return *this;
 }
 
-std::size_t Value::size() const {
-  if (type_ != Type::Array) type_error("array");
-  return array_.size();
+void Value::destroy() noexcept {
+  switch (type_) {
+    case Type::String:
+      delete u_.string;
+      break;
+    case Type::Array:
+      release(u_.array, count_);
+      break;
+    case Type::Object:
+      release(u_.object, count_);
+      break;
+    default:
+      break;
+  }
+  type_ = Type::Null;
+  count_ = 0;
 }
 
-const Value& Value::at(std::size_t i) const {
-  if (type_ != Type::Array) type_error("array");
-  return array_.at(i);
+void Value::kind_error(const char* wanted) {
+  throw std::runtime_error(std::string("json value is not a ") + wanted);
 }
 
-const Value* Value::find(const std::string& key) const {
+void Value::index_error(std::size_t i, std::size_t size) {
+  throw std::out_of_range("json array index " + std::to_string(i) +
+                          " past the end (size " + std::to_string(size) + ")");
+}
+
+const Value* Value::find(std::string_view key) const {
   if (type_ != Type::Object) return nullptr;
-  for (const auto& [name, value] : object_)
-    if (name == key) return &value;
+  for (const Member& member : std::span<const Member>(u_.object, count_))
+    if (member.key == key) return &member.value;
   return nullptr;
 }
 
-const std::vector<std::pair<std::string, Value>>& Value::members() const {
-  if (type_ != Type::Object) type_error("object");
-  return object_;
+std::span<const Value::Member> Value::members() const {
+  if (type_ != Type::Object) kind_error("object");
+  return {u_.object, count_};
 }
 
 /// The parser: one pass over the text with a cursor; depth-limited so a
-/// hostile request line cannot blow the stack.
+/// hostile request line cannot blow the stack. Finished array elements and
+/// object members wait on two scratch stacks until their container closes;
+/// the container then takes them in one block of its final size.
 class Parser {
  public:
-  explicit Parser(const std::string& text) : text_(text) {}
+  explicit Parser(const std::string& text) : text_(text) {
+    values_.reserve(64);
+    members_.reserve(32);
+  }
 
   Value run() {
     Value v = parse_value(0);
@@ -104,16 +171,39 @@ class Parser {
     return true;
   }
 
+  /// Move the top `stack.size() - base` entries into a new block and pop
+  /// them; the count is the container's size.
+  template <typename T>
+  T* take(std::vector<T>& stack, std::size_t base, std::uint32_t& count) {
+    const std::size_t n = stack.size() - base;
+    if (n > UINT32_MAX) fail("container too large");
+    T* block = allocate<T>(n);
+    std::uninitialized_move_n(stack.begin() + static_cast<std::ptrdiff_t>(base),
+                              n, block);
+    stack.resize(base);
+    count = static_cast<std::uint32_t>(n);
+    return block;
+  }
+
+  static bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+  static bool is_number_char(char c) {
+    return is_digit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+           c == '-';
+  }
+
   Value parse_value(std::size_t depth) {
     if (depth > kMaxDepth) fail("nesting too deep");
     skip_space();
     const char c = peek();
+    if (is_digit(c) || c == '-') return parse_number();
     if (c == '{') return parse_object(depth);
     if (c == '[') return parse_array(depth);
     if (c == '"') {
+      std::string text = parse_string();
       Value v;
+      v.u_.string = new std::string(std::move(text));
       v.type_ = Value::Type::String;
-      v.string_ = parse_string();
       return v;
     }
     if (consume_word("true")) {
@@ -133,49 +223,57 @@ class Parser {
   }
 
   Value parse_object(std::size_t depth) {
-    Value v;
-    v.type_ = Value::Type::Object;
     expect('{');
+    const std::size_t base = members_.size();
     skip_space();
     if (peek() == '}') {
       ++pos_;
-      return v;
-    }
-    while (true) {
-      skip_space();
-      std::string key = parse_string();
-      skip_space();
-      expect(':');
-      v.object_.emplace_back(std::move(key), parse_value(depth + 1));
-      skip_space();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+    } else {
+      while (true) {
+        skip_space();
+        std::string key = parse_string();
+        skip_space();
+        expect(':');
+        Value value = parse_value(depth + 1);
+        members_.push_back(Value::Member{std::move(key), std::move(value)});
+        skip_space();
+        if (peek() == ',') {
+          ++pos_;
+          continue;
+        }
+        expect('}');
+        break;
       }
-      expect('}');
-      return v;
     }
+    Value v;
+    v.u_.object = take(members_, base, v.count_);
+    v.type_ = Value::Type::Object;
+    return v;
   }
 
   Value parse_array(std::size_t depth) {
-    Value v;
-    v.type_ = Value::Type::Array;
     expect('[');
+    const std::size_t base = values_.size();
     skip_space();
     if (peek() == ']') {
       ++pos_;
-      return v;
-    }
-    while (true) {
-      v.array_.push_back(parse_value(depth + 1));
-      skip_space();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
+    } else {
+      while (true) {
+        Value element = parse_value(depth + 1);
+        values_.push_back(std::move(element));
+        skip_space();
+        if (peek() == ',') {
+          ++pos_;
+          continue;
+        }
+        expect(']');
+        break;
       }
-      expect(']');
-      return v;
     }
+    Value v;
+    v.u_.array = take(values_, base, v.count_);
+    v.type_ = Value::Type::Array;
+    return v;
   }
 
   /// Advance past the run of plain string bytes (no '"', '\\' or control
@@ -276,12 +374,21 @@ class Parser {
 
   Value parse_number() {
     const std::size_t start = pos_;
+    Value v;
+    v.type_ = Value::Type::Number;
+    // Fast path: a plain run of at most 15 digits is an integer below 2^53,
+    // which every double reader maps to exactly that value.
+    std::uint64_t integer = 0;
+    while (pos_ < text_.size() && pos_ - start < 16 && is_digit(text_[pos_]))
+      integer = integer * 10 + static_cast<std::uint64_t>(text_[pos_++] - '0');
+    if (pos_ > start && pos_ - start <= 15 &&
+        (pos_ == text_.size() || !is_number_char(text_[pos_]))) {
+      v.u_.number = static_cast<double>(integer);
+      return v;
+    }
+    pos_ = start;
     if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    while (pos_ < text_.size() &&
-           (std::isdigit(static_cast<unsigned char>(text_[pos_])) != 0 ||
-            text_[pos_] == '.' || text_[pos_] == 'e' || text_[pos_] == 'E' ||
-            text_[pos_] == '+' || text_[pos_] == '-'))
-      ++pos_;
+    while (pos_ < text_.size() && is_number_char(text_[pos_])) ++pos_;
     if (pos_ == start) fail("expected a value");
     const char* const first = text_.data() + start;
     const char* const last = text_.data() + pos_;
@@ -298,17 +405,27 @@ class Parser {
       pos_ = start;
       fail("malformed number '" + std::string(first, last) + "'");
     }
-    Value v;
-    v.type_ = Value::Type::Number;
-    v.number_ = value;
+    v.u_.number = value;
     return v;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  std::vector<Value> values_;
+  std::vector<Value::Member> members_;
 };
 
 Value Value::parse(const std::string& text) { return Parser(text).run(); }
+
+std::optional<std::uint64_t> to_count(const Value& value) {
+  if (!value.is_number()) return std::nullopt;
+  const double x = value.as_number();
+  if (!(x >= 0.0 && x < 9007199254740992.0)) return std::nullopt;
+  // In range, so the cast is defined; it truncates, which a fraction shows.
+  const auto count = static_cast<std::uint64_t>(x);
+  if (static_cast<double>(count) != x) return std::nullopt;
+  return count;
+}
 
 std::string escape(const std::string& s) {
   std::string out;

@@ -16,18 +16,36 @@
 /// not need a tree.
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
-#include <utility>
-#include <vector>
+#include <string_view>
 
 namespace ebmf::io::json {
 
-/// One JSON value (tree-owning).
+/// One JSON value (tree-owning). A node is 16 bytes: numbers and bools sit
+/// inline; strings, arrays and objects own one out-of-line block each, built
+/// at its final size when the parser closes the container. Copies are deep;
+/// a moved-from value is null.
 class Value {
  public:
-  enum class Type { Null, Bool, Number, String, Array, Object };
+  enum class Type : std::uint8_t { Null, Bool, Number, String, Array, Object };
+  struct Member;
 
-  Value() = default;
+  Value() noexcept = default;
+  Value(const Value& other);
+  Value(Value&& other) noexcept
+      : type_(other.type_), bool_(other.bool_), count_(other.count_),
+        u_(other.u_) {
+    other.type_ = Type::Null;
+    other.count_ = 0;
+  }
+  Value& operator=(const Value& other);
+  Value& operator=(Value&& other) noexcept;
+  ~Value() {
+    if (type_ >= Type::String) destroy();
+  }
 
   /// Parse a complete JSON document; trailing non-space input is an error.
   /// Throws std::runtime_error("json at offset N: ...") on malformed text.
@@ -48,33 +66,66 @@ class Value {
   }
 
   /// Typed accessors; throw std::runtime_error on a kind mismatch.
-  [[nodiscard]] bool as_bool() const;
-  [[nodiscard]] double as_number() const;
-  [[nodiscard]] const std::string& as_string() const;
+  [[nodiscard]] bool as_bool() const {
+    if (type_ != Type::Bool) kind_error("bool");
+    return bool_;
+  }
+  [[nodiscard]] double as_number() const {
+    if (type_ != Type::Number) kind_error("number");
+    return u_.number;
+  }
+  [[nodiscard]] const std::string& as_string() const {
+    if (type_ != Type::String) kind_error("string");
+    return *u_.string;
+  }
 
-  /// Array access. Preconditions: is_array(), i < size().
-  [[nodiscard]] std::size_t size() const;
-  [[nodiscard]] const Value& at(std::size_t i) const;
+  /// Array access. Preconditions: is_array(); at() throws std::out_of_range
+  /// when i >= size().
+  [[nodiscard]] std::size_t size() const {
+    if (type_ != Type::Array) kind_error("array");
+    return count_;
+  }
+  [[nodiscard]] const Value& at(std::size_t i) const {
+    if (i >= size()) index_error(i, count_);
+    return u_.array[i];
+  }
 
-  /// Object lookup: the value under `key`, or nullptr when absent (or when
-  /// this value is not an object — absent and mistyped read the same for
-  /// optional protocol fields).
-  [[nodiscard]] const Value* find(const std::string& key) const;
+  /// Object lookup: the value under the first member named `key`, or
+  /// nullptr when absent (or when this value is not an object — absent and
+  /// mistyped read the same for optional protocol fields).
+  [[nodiscard]] const Value* find(std::string_view key) const;
 
   /// Object members in document order. Precondition: is_object().
-  [[nodiscard]] const std::vector<std::pair<std::string, Value>>& members()
-      const;
+  [[nodiscard]] std::span<const Member> members() const;
 
  private:
   friend class Parser;
 
+  [[noreturn]] static void kind_error(const char* wanted);
+  [[noreturn]] static void index_error(std::size_t i, std::size_t size);
+  void destroy() noexcept;
+
   Type type_ = Type::Null;
   bool bool_ = false;
-  double number_ = 0.0;
-  std::string string_;
-  std::vector<Value> array_;
-  std::vector<std::pair<std::string, Value>> object_;
+  std::uint32_t count_ = 0;  ///< Array elements or object members.
+  union Payload {
+    double number;
+    std::string* string;
+    Value* array;
+    Member* object;
+  } u_{0.0};
 };
+
+/// One object member: `const auto& [key, value]` binds both.
+struct Value::Member {
+  std::string key;
+  Value value;
+};
+
+/// `value` as an unsigned integer when it is a number that is integral and
+/// below 2^53 (so exact as a double); nullopt otherwise. Counts and indices
+/// read from untrusted lines go through this, never through a bare cast.
+std::optional<std::uint64_t> to_count(const Value& value);
 
 /// Escape a string for embedding in a JSON document (no surrounding
 /// quotes): ", \, and control characters. The one escaping routine shared

@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <optional>
 #include <sstream>
 #include <stdexcept>
 
@@ -485,12 +486,20 @@ BitVec bitset_from_indices(const json::Value& rect, const char* key,
   BitVec bits(n);
   for (std::size_t k = 0; k < list->size(); ++k) {
     if (!list->at(k).is_number()) fail_response("partition index not a number");
-    const double value = list->at(k).as_number();
-    if (!(value >= 0) || value >= static_cast<double>(n))
+    const std::optional<std::uint64_t> index = json::to_count(list->at(k));
+    if (!index || *index >= n)
       fail_response(std::string("partition '") + key + "' index out of range");
-    bits.set(static_cast<std::size_t>(value));
+    bits.set(static_cast<std::size_t>(*index));
   }
   return bits;
+}
+
+/// A count field of a reply: integral and in [0, 2^53), or the reply is
+/// rejected.
+std::size_t count_field(const json::Value& value, const char* key) {
+  const std::optional<std::uint64_t> count = json::to_count(value);
+  if (!count) fail_response(std::string("'") + key + "' is not a count");
+  return static_cast<std::size_t>(*count);
 }
 
 }  // namespace
@@ -518,20 +527,20 @@ engine::SolveReport parse_wire_response(const json::Value& document,
   if (lower == nullptr || !lower->is_number() || upper == nullptr ||
       !upper->is_number())
     fail_response("missing bounds");
-  report.lower_bound = static_cast<std::size_t>(lower->as_number());
-  report.upper_bound = static_cast<std::size_t>(upper->as_number());
+  report.lower_bound = count_field(*lower, "lower_bound");
+  report.upper_bound = count_field(*upper, "upper_bound");
   // Anytime fields: absent in pre-anytime peers' lines, so default rather
   // than fail — incumbent_depth to the final depth, gap to the bracket.
   report.incumbent_depth = report.upper_bound;
   if (const json::Value* incumbent = document.find("incumbent_depth");
       incumbent != nullptr && incumbent->is_number())
-    report.incumbent_depth = static_cast<std::size_t>(incumbent->as_number());
+    report.incumbent_depth = count_field(*incumbent, "incumbent_depth");
   report.gap = report.upper_bound > report.lower_bound
                    ? report.upper_bound - report.lower_bound
                    : 0;
   if (const json::Value* gap = document.find("gap");
       gap != nullptr && gap->is_number())
-    report.gap = static_cast<std::size_t>(gap->as_number());
+    report.gap = count_field(*gap, "gap");
   if (const json::Value* seconds = document.find("total_seconds");
       seconds != nullptr && seconds->is_number())
     report.total_seconds = seconds->as_number();
@@ -586,16 +595,12 @@ bool parse_wire_redirect(const std::string& line, std::string* endpoint,
       return false;
     if (endpoint != nullptr) *endpoint = target->as_string();
     if (epoch != nullptr) {
-      *epoch = 0;
-      if (const json::Value* value = document.find("epoch");
-          value != nullptr && value->is_number() && value->as_number() >= 0)
-        *epoch = static_cast<std::uint64_t>(value->as_number());
+      const json::Value* value = document.find("epoch");
+      *epoch = value == nullptr ? 0 : json::to_count(*value).value_or(0);
     }
     if (term != nullptr) {
-      *term = 0;
-      if (const json::Value* value = document.find("term");
-          value != nullptr && value->is_number() && value->as_number() >= 0)
-        *term = static_cast<std::uint64_t>(value->as_number());
+      const json::Value* value = document.find("term");
+      *term = value == nullptr ? 0 : json::to_count(*value).value_or(0);
     }
     return true;
   } catch (...) {

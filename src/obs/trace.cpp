@@ -312,14 +312,10 @@ std::vector<Span> spans_from_json(const io::json::Value& array) {
         span.parent_id = 0;
       }
     }
-    if (const auto* start = item.find("start_us");
-        start != nullptr && start->is_number()) {
-      span.start_us = static_cast<std::uint64_t>(start->as_number());
-    }
-    if (const auto* dur = item.find("dur_us");
-        dur != nullptr && dur->is_number()) {
-      span.dur_us = static_cast<std::uint64_t>(dur->as_number());
-    }
+    if (const auto* start = item.find("start_us"); start != nullptr)
+      span.start_us = io::json::to_count(*start).value_or(span.start_us);
+    if (const auto* dur = item.find("dur_us"); dur != nullptr)
+      span.dur_us = io::json::to_count(*dur).value_or(span.dur_us);
     out.push_back(std::move(span));
   }
   return out;

@@ -727,11 +727,11 @@ void Router::Impl::observe_peer_reply(const std::string& line) {
     if (!document.is_object()) return;
     const io::json::Value* holder = document.find("holder");
     const io::json::Value* term = document.find("term");
-    if (holder == nullptr || !holder->is_string() || term == nullptr ||
-        !term->is_number() || term->as_number() < 0)
+    if (holder == nullptr || !holder->is_string() || term == nullptr)
       return;
-    lease->observe_report(holder->as_string(),
-                          static_cast<std::uint64_t>(term->as_number()));
+    const std::optional<std::uint64_t> count = io::json::to_count(*term);
+    if (!count) return;
+    lease->observe_report(holder->as_string(), *count);
   } catch (const std::exception&) {
   }
 }

@@ -309,7 +309,7 @@ std::size_t ResultCache::load_file(const std::string& path,
     const io::json::Value header = io::json::Value::parse(line);
     const io::json::Value* version = header.find("ebmf_cache");
     if (version == nullptr || !version->is_number() ||
-        static_cast<int>(version->as_number()) != kSnapshotVersion) {
+        version->as_number() != kSnapshotVersion) {
       warn("snapshot '" + path + "' has an unsupported version; ignored");
       return 0;
     }

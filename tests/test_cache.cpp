@@ -363,6 +363,14 @@ TEST(CachePersistence, MissingCorruptAndMismatchedFilesAreIgnored) {
   warning.clear();
   EXPECT_EQ(cache.load_file(future, &warning), 0u);
   EXPECT_NE(warning.find("version"), std::string::npos);
+  // A version no int can hold is refused the same way, not cast.
+  {
+    std::ofstream out(future);
+    out << "{\"ebmf_cache\":1e300}\n";
+  }
+  warning.clear();
+  EXPECT_EQ(cache.load_file(future, &warning), 0u);
+  EXPECT_NE(warning.find("version"), std::string::npos);
   std::remove(future.c_str());
 }
 
@@ -394,6 +402,31 @@ TEST(CachePersistence, CorruptEntriesAreSkippedNotServed) {
   EXPECT_TRUE(reloaded
                   .lookup(c.key.mixed_with("auto"), "auto", c.pattern)
                   .has_value());
+  std::remove(path.c_str());
+}
+
+TEST(CachePersistence, EntriesWithNonCountBoundsAreSkipped) {
+  // A snapshot is untrusted: bounds that are negative, huge or fractional
+  // reject their entry instead of being cast to size_t. The last line is
+  // the same entry with exact bounds, and loads.
+  const std::string path = snapshot_path("bounds");
+  {
+    std::ofstream out(path);
+    out << "{\"ebmf_cache\":1}\n";
+    for (const char* bounds :
+         {"\"lower_bound\":-1,\"upper_bound\":1e300",
+          "\"lower_bound\":0.5,\"upper_bound\":1",
+          "\"lower_bound\":1,\"upper_bound\":1,\"gap\":-3",
+          "\"lower_bound\":1,\"upper_bound\":1"})
+      out << "{\"cache_key\":\"00000000000000000000000000000001\","
+             "\"strategy\":\"auto\",\"pattern\":\"1\","
+             "\"report\":{\"status\":\"optimal\","
+          << bounds << ",\"partition\":[{\"rows\":[0],\"cols\":[0]}]}}\n";
+  }
+  ResultCache cache(ResultCache::Options{});
+  std::string warning;
+  EXPECT_EQ(cache.load_file(path, &warning), 1u);  // only the exact one
+  EXPECT_NE(warning.find("skipped 3"), std::string::npos) << warning;
   std::remove(path.c_str());
 }
 

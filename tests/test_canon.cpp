@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <numeric>
 #include <string>
 #include <utility>
@@ -226,6 +227,203 @@ TEST(Canon, PermutedPhysicalFamilyPatternsKeepTheirKey) {
       EXPECT_EQ(canonicalize(permuted(physical, rows, cols)).key, key)
           << name;
     }
+  }
+}
+
+/// Twenty seeded patterns that reach every branch of the component sort:
+/// components with 65+ columns and with rows + cols > 64 (the 8-round
+/// refinement), three or more components, circulant and kron blocks whose
+/// refinement colors tie (the content tie-break and the pass loop), and
+/// duplicate and zero lines for the dedup step. Each is shown in a random
+/// orientation.
+std::vector<BinaryMatrix> golden_random_patterns() {
+  const auto block_diagonal = [](const std::vector<BinaryMatrix>& blocks) {
+    std::size_t rows = 0;
+    std::size_t cols = 0;
+    for (const BinaryMatrix& b : blocks) {
+      rows += b.rows();
+      cols += b.cols();
+    }
+    BinaryMatrix out(rows, cols);
+    std::size_t r0 = 0;
+    std::size_t c0 = 0;
+    for (const BinaryMatrix& b : blocks) {
+      for (const auto& [i, j] : b.ones()) out.set(r0 + i, c0 + j);
+      r0 += b.rows();
+      c0 += b.cols();
+    }
+    return out;
+  };
+  std::vector<BinaryMatrix> out;
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    Rng rng(seed);
+    BinaryMatrix base;
+    switch (seed % 5) {
+      case 0:  // one wide component
+        base = benchgen::random_matrix(20 + rng.below(30), 65 + rng.below(40),
+                                       0.09, rng);
+        break;
+      case 1: {  // three to five blocks
+        std::vector<BinaryMatrix> blocks;
+        const std::size_t count = 3 + rng.below(3);
+        for (std::size_t b = 0; b < count; ++b)
+          blocks.push_back(benchgen::random_matrix(
+              6 + rng.below(25), 6 + rng.below(25), 0.3, rng));
+        base = block_diagonal(blocks);
+        break;
+      }
+      case 2: {  // circulant: every line has the same refinement color
+        const std::size_t n = 30 + rng.below(50);
+        const std::size_t a = 1 + rng.below(n / 2);
+        const std::size_t b = a + 1 + rng.below(n / 2 - 1);
+        base = BinaryMatrix(n, n);
+        for (std::size_t i = 0; i < n; ++i)
+          for (const std::size_t shift : {std::size_t{0}, a, b})
+            base.set(i, (i + shift) % n);
+        break;
+      }
+      case 3:  // kron blocks: symmetric orbits and repeated components
+        base = BinaryMatrix::kron(
+            benchgen::random_matrix(5 + rng.below(5), 5 + rng.below(5), 0.4,
+                                    rng),
+            ftqc::checkerboard_patch(3 + rng.below(2), rng.below(2)));
+        break;
+      default:  // a circulant next to random blocks
+        base = block_diagonal(
+            {benchgen::random_matrix(40, 30, 0.1, rng),
+             benchgen::random_matrix(12, 12, 0.3, rng),
+             BinaryMatrix::kron(ftqc::checkerboard_patch(4, 0),
+                                ftqc::checkerboard_patch(2, 1))});
+        break;
+    }
+    // Duplicate a few lines and add a zero row and column.
+    std::vector<std::size_t> rows(base.rows());
+    std::vector<std::size_t> cols(base.cols());
+    std::iota(rows.begin(), rows.end(), 0);
+    std::iota(cols.begin(), cols.end(), 0);
+    for (std::size_t k = 0; k < 3; ++k) {
+      rows.push_back(rng.below(base.rows()));
+      cols.push_back(rng.below(base.cols()));
+    }
+    BinaryMatrix grown(rows.size() + 1, cols.size() + 1);
+    for (std::size_t i = 0; i < rows.size(); ++i)
+      for (std::size_t j = 0; j < cols.size(); ++j)
+        if (base.test(rows[i], cols[j])) grown.set(i, j);
+    out.push_back(permuted(grown, rng.permutation(grown.rows()),
+                           rng.permutation(grown.cols())));
+  }
+  return out;
+}
+
+/// FNV-1a over the whole lift record, so a golden value pins the sort's
+/// permutations and pass count as well as the canonical pattern.
+std::string lift_record_digest(const Canonical& c) {
+  std::uint64_t h = 14695981039346656037ULL;
+  const auto mix = [&h](std::uint64_t value) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (value >> (8 * b)) & 0xff;
+      h *= 1099511628211ULL;
+    }
+  };
+  for (const auto& order : c.row_order)
+    for (const std::size_t i : order) mix(i);
+  mix(~0ULL);
+  for (const auto& order : c.col_order)
+    for (const std::size_t j : order) mix(j);
+  mix(~0ULL);
+  for (const std::size_t offset : c.row_offset) mix(offset);
+  for (const std::size_t offset : c.col_offset) mix(offset);
+  mix(c.sort_passes);
+  char buffer[20];
+  std::snprintf(buffer, sizeof buffer, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buffer;
+}
+
+TEST(Canon, GoldenKeysOfSeededRandomPatterns) {
+  // The canonical form is a wire and storage contract (see
+  // GoldenKeysOfTheServiceFamilies). These pin it, lift record included, on
+  // inputs that reach every branch of the component sort.
+  const std::vector<std::pair<std::string, std::string>> golden = {
+      {"edf80b346e50a8d84796588fbb08a27b", "2965374e01d8d837"},
+      {"455bda9ac8dbba627bbcf46a89debaa5", "2201b318ce426a77"},
+      {"c9504c7665b2f74560fa6d46b4fba962", "4b98726ca0de8157"},
+      {"58dd08c4302b710416d7df9ca1dd5d1b", "f1721e9ebd476c2c"},
+      {"644d9b11a2478a08aa3497cbe7b887fb", "d0b01ca815dfdb4d"},
+      {"f997e43fb138f141b0dcd4d1903b950e", "fd2f375bb1f4a026"},
+      {"05ecb031027067a43f3babcf5f37c633", "98d331632243fc15"},
+      {"40c38b15338e84b123a9c53ca6afd966", "682fcc78d3c1e57b"},
+      {"bf4714f535ee15cb8c482bc63708a7b4", "ffbcedb8d0db6c10"},
+      {"a371a84bb1c5c20874a6ac6de469e09b", "55ed27f8604983b5"},
+      {"a60a4e5cdb623787ef1176f439a73d60", "b026e2c38fd6217b"},
+      {"6ad0b1ba604e007733c2fdc3ff5af1b8", "fbd003c142f748e7"},
+      {"fd67a5b23cae239f84ba54b8ac3f00e8", "7eefa1707a708ef7"},
+      {"d97db35cb4a36bdf6b67e83e6454a760", "2f5b9c8232261f2b"},
+      {"5f54463c7ae89c8f24a02218fb1390ac", "7daf60f142aba4b5"},
+      {"01b2c941469b2c87fe2828a87fa3e640", "de324f467f12487f"},
+      {"f775dabd8d3198050f4516d263fbaa5a", "8aeaf83ce8f030d7"},
+      {"53f1878f5b3818ddadf87fde4b80b0da", "18838728dccb7b7a"},
+      {"33fe0d03462f61571474d3297b26a140", "79100702fac91e26"},
+      {"6fc103b21da4ee0d2d44613c397ea1c2", "12b0ed1d3b779f6c"},
+  };
+  const std::vector<BinaryMatrix> patterns = golden_random_patterns();
+  ASSERT_EQ(patterns.size(), golden.size());
+  bool wide = false;
+  bool eight_rounds = false;
+  bool three_components = false;
+  bool duplicates = false;
+  for (std::size_t p = 0; p < patterns.size(); ++p) {
+    const Canonical c = canonicalize(patterns[p]);
+    EXPECT_EQ(c.key.hex(), golden[p].first) << "pattern " << p;
+    EXPECT_EQ(lift_record_digest(c), golden[p].second) << "pattern " << p;
+    for (const Component& component : c.components) {
+      wide |= component.matrix.cols() >= 65;
+      eight_rounds |= component.matrix.rows() + component.matrix.cols() > 64;
+    }
+    three_components |= c.components.size() >= 3;
+    duplicates |= c.reduction.reduced.rows() + 1 < patterns[p].rows() &&
+                  c.reduction.reduced.cols() + 1 < patterns[p].cols();
+  }
+  EXPECT_TRUE(wide);
+  EXPECT_TRUE(eight_rounds);
+  EXPECT_TRUE(three_components);
+  EXPECT_TRUE(duplicates);
+}
+
+/// Reference lift in two steps: into the reduced matrix through the
+/// component maps, then expand_partition over the duplicate groups.
+Partition two_step_lift(const Partition& p, const Canonical& c) {
+  Partition reduced;
+  for (const Rectangle& r : p) {
+    std::size_t comp = c.row_offset.size();
+    while (comp > 0 && c.row_offset[comp - 1] > r.rows.find_first()) --comp;
+    --comp;
+    const Component& component = c.components[comp];
+    Rectangle lifted{BitVec(c.reduction.reduced.rows()),
+                     BitVec(c.reduction.reduced.cols())};
+    for (std::size_t i = r.rows.find_first(); i < r.rows.size();
+         i = r.rows.find_next(i))
+      lifted.rows.set(
+          component.row_map[c.row_order[comp][i - c.row_offset[comp]]]);
+    for (std::size_t j = r.cols.find_first(); j < r.cols.size();
+         j = r.cols.find_next(j))
+      lifted.cols.set(
+          component.col_map[c.col_order[comp][j - c.col_offset[comp]]]);
+    reduced.push_back(std::move(lifted));
+  }
+  return expand_partition(reduced, c.reduction);
+}
+
+TEST(Canon, LiftMatchesTheTwoStepLift) {
+  const engine::Engine engine;
+  for (const BinaryMatrix& pattern : golden_random_patterns()) {
+    const Canonical c = canonicalize(pattern);
+    auto request = engine::SolveRequest::dense(c.pattern, "heuristic");
+    request.trials = 4;
+    const Partition canonical_partition = engine.solve(request).partition;
+    const Partition lifted = lift(canonical_partition, c);
+    EXPECT_EQ(lifted, two_step_lift(canonical_partition, c));
+    EXPECT_TRUE(validate_partition(pattern, lifted).ok);
   }
 }
 

@@ -256,6 +256,43 @@ TEST(Report, JsonIsOneLineWithStableFields) {
   EXPECT_NE(json.find("\\\"quoted\\\""), std::string::npos);
 }
 
+/// A hand-built report touching every field to_json renders: escapes in
+/// strings, %.6g numbers, several timings and telemetry entries.
+SolveReport pinned_report() {
+  SolveReport report;
+  report.label = "pin \"q\"\n\x01";
+  report.strategy = "sap";
+  report.status = Status::Bounded;
+  report.lower_bound = 2;
+  report.upper_bound = 3;
+  report.incumbent_depth = 3;
+  report.gap = 1;
+  report.total_seconds = 0.000125;
+  report.add_timing("rank", 1.5e-05);
+  report.add_timing("smt", 0.25);
+  report.add_telemetry("heuristic.size", "3");
+  report.add_telemetry("k\"ey", "v\\al");
+  for (const auto& [rows, cols] :
+       {std::pair{"110", "0011"}, {"001", "1100"}, {"001", "0001"}})
+    report.partition.push_back(
+        Rectangle{BitVec::from_string(rows), BitVec::from_string(cols)});
+  return report;
+}
+
+TEST(Report, JsonBytesArePinned) {
+  // The bytes are a wire contract: replies and cache snapshots carry them.
+  EXPECT_EQ(to_json(pinned_report()),
+            R"({"label":"pin \"q\"\u000a\u0001","strategy":"sap",)"
+            R"("status":"bounded","depth":3,"lower_bound":2,"upper_bound":3,)"
+            R"("incumbent_depth":3,"gap":1,"total_seconds":0.000125,)"
+            R"("timings":{"rank":1.5e-05,"smt":0.25},)"
+            R"("telemetry":{"heuristic.size":"3","k\"ey":"v\\al"}})");
+  EXPECT_EQ(to_json(SolveReport{}),
+            R"({"label":"","strategy":"","status":"heuristic","depth":0,)"
+            R"("lower_bound":0,"upper_bound":0,"incumbent_depth":0,"gap":0,)"
+            R"("total_seconds":0,"timings":{},"telemetry":{}})");
+}
+
 TEST(Report, StatusNames) {
   EXPECT_STREQ(to_string(Status::Optimal), "optimal");
   EXPECT_STREQ(to_string(Status::Bounded), "bounded");

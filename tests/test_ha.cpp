@@ -310,6 +310,13 @@ TEST(WireRedirect, RecognizesOnlyRedirectLines) {
   EXPECT_EQ(endpoint, "10.0.0.2:7500");
   EXPECT_EQ(epoch, 12u);
   EXPECT_EQ(term, 3u);
+  // An epoch or term that is not an exact count reads as 0, never as a
+  // cast of an out-of-range double.
+  EXPECT_TRUE(io::parse_wire_redirect(
+      R"({"redirect":"10.0.0.2:7500","epoch":1e300,"term":-5})", &endpoint,
+      &epoch, &term));
+  EXPECT_EQ(epoch, 0u);
+  EXPECT_EQ(term, 0u);
 
   // Near-misses: a counter named "redirects", an error line, a report,
   // malformed JSON. None may parse as a redirect (and none may throw).

@@ -214,6 +214,22 @@ TEST(Trace, LegacyRequestsParseWithoutTrace) {
 
 // ---- trace store -----------------------------------------------------------
 
+TEST(Trace, SpansFromJsonReadOnlyExactCountTimes) {
+  // Span times from a peer are untrusted: a negative, huge or fractional
+  // time reads as 0 instead of being cast to an integer.
+  const auto spans = obs::spans_from_json(io::json::Value::parse(
+      R"([{"name":"a","span":"1f","start_us":1e300,"dur_us":-1},)"
+      R"({"name":"b","span":"2e","start_us":5,"dur_us":2.5},)"
+      R"({"name":"c","span":"3d","start_us":7,"dur_us":3}])"));
+  ASSERT_EQ(spans.size(), 3u);
+  EXPECT_EQ(spans[0].start_us, 0u);
+  EXPECT_EQ(spans[0].dur_us, 0u);
+  EXPECT_EQ(spans[1].start_us, 5u);
+  EXPECT_EQ(spans[1].dur_us, 0u);
+  EXPECT_EQ(spans[2].start_us, 7u);
+  EXPECT_EQ(spans[2].dur_us, 3u);
+}
+
 TEST(TraceStore, RingEvictsOldestAndBoundsSize) {
   TraceStore store(4);
   for (std::uint64_t i = 1; i <= 10; ++i) {

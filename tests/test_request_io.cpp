@@ -401,5 +401,43 @@ TEST(WireResponse, ParseRejectsGarbageAndErrors) {
       std::runtime_error);
 }
 
+TEST(WireResponse, BoundsAndIndicesMustBeExactCounts) {
+  // A reply line is untrusted: a negative, huge or fractional count is
+  // rejected, never cast (a cast of -1 or 1e300 to size_t is undefined).
+  const char* const bad[] = {
+      R"({"status":"optimal","lower_bound":-1,"upper_bound":1e300})",
+      R"({"status":"optimal","lower_bound":1,"upper_bound":1e300})",
+      R"({"status":"optimal","lower_bound":0.5,"upper_bound":1})",
+      R"({"status":"optimal","lower_bound":1,"upper_bound":1.5})",
+      R"({"status":"optimal","lower_bound":1,"upper_bound":9007199254740992})",
+      R"({"status":"bounded","lower_bound":1,"upper_bound":2,"incumbent_depth":-2})",
+      R"({"status":"bounded","lower_bound":1,"upper_bound":2,"gap":0.25})",
+      R"({"status":"optimal","lower_bound":1,"upper_bound":1,)"
+      R"("partition":[{"rows":[0.5],"cols":[0]}]})",
+      R"({"status":"optimal","lower_bound":1,"upper_bound":1,)"
+      R"("partition":[{"rows":[0],"cols":[-1]}]})",
+  };
+  for (const char* line : bad)
+    EXPECT_THROW((void)parse_wire_response(line, 2, 2), std::runtime_error)
+        << line;
+  const engine::SolveReport largest = parse_wire_response(
+      R"({"status":"bounded","lower_bound":1,)"
+      R"("upper_bound":9007199254740991})");
+  EXPECT_EQ(largest.upper_bound, 9007199254740991u);
+  EXPECT_EQ(largest.gap, 9007199254740990u);
+}
+
+TEST(Json, ToCountAcceptsOnlyExactNonNegativeIntegers) {
+  EXPECT_EQ(json::to_count(json::Value::parse("0")), 0u);
+  EXPECT_EQ(json::to_count(json::Value::parse("42")), 42u);
+  EXPECT_EQ(json::to_count(json::Value::parse("4.2e1")), 42u);
+  EXPECT_EQ(json::to_count(json::Value::parse("9007199254740991")),
+            9007199254740991u);
+  for (const char* text :
+       {"-1", "-0.5", "0.5", "1e300", "9007199254740992", "\"7\"", "true",
+        "null", "[1]"})
+    EXPECT_FALSE(json::to_count(json::Value::parse(text)).has_value()) << text;
+}
+
 }  // namespace
 }  // namespace ebmf::io
