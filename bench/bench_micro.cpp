@@ -79,15 +79,16 @@ void BM_RealRank(benchmark::State& state) {
 }
 BENCHMARK(BM_RealRank)->Arg(10)->Arg(30)->Arg(100);
 
-void BM_RankSparseBareissPath(benchmark::State& state) {
-  // Rank-deficient sparse matrices force the exact Bareiss fallback.
+void BM_RankSparseModPPath(benchmark::State& state) {
+  // Rank-deficient sparse matrices miss the GF(2) exit and take the mod-p
+  // rung of the ladder.
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto m = random_matrix(n, 0.03, 4);
   for (auto _ : state) {
     benchmark::DoNotOptimize(ebmf::real_rank(m));
   }
 }
-BENCHMARK(BM_RankSparseBareissPath)->Arg(30)->Arg(60)->Arg(100);
+BENCHMARK(BM_RankSparseModPPath)->Arg(30)->Arg(60)->Arg(100);
 
 // ---- heuristics ----------------------------------------------------------
 

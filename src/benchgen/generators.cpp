@@ -42,7 +42,7 @@ KnownOptimal known_optimal_matrix(std::size_t m, std::size_t n, std::size_t k,
       if (c.none()) c.set(rng.below(m));
       col_sets.push_back(std::move(c));
     }
-    if (rank_mod_p(col_sets, m, 2147483647ull) == k) break;
+    if (real_rank(col_sets, m) == k) break;
     col_sets.clear();
   }
   EBMF_ENSURES(!col_sets.empty());  // random 0/1 vectors reach rank k quickly
@@ -94,7 +94,7 @@ GapInstance gap_matrix(std::size_t m, std::size_t n, std::size_t k, Rng& rng) {
       ok = found;
     }
     if (!ok) continue;
-    if (rank_mod_p(rows, n, 2147483647ull) != k + 1) continue;
+    if (real_rank(rows, n) != k + 1) continue;
 
     // Fill the remaining rows with 50%-occupancy noise.
     GapInstance out;

@@ -7,7 +7,9 @@
 ///
 /// The left inequality is Eq. 3 of the paper (binary factorization is a real
 /// factorization with extra constraints); the right is the trivial
-/// single-row/column partition with duplicates consolidated.
+/// single-row/column partition with duplicates consolidated. The rank is
+/// computed by the field-rank ladder of linalg/rank.h, which never exceeds
+/// rank_ℝ(M), so the bound is always sound.
 
 #include <cstddef>
 
@@ -15,7 +17,9 @@
 
 namespace ebmf {
 
-/// Exact rank of M over ℝ (Eq. 3's lower bound on r_B).
+/// Eq. 3's lower bound on r_B: the GF(2) / mod 2^31 − 1 rank ladder
+/// (linalg/rank.h). Never above rank_ℝ(M); equal to it whenever
+/// rank_ℝ(M) ≤ 22. There is no exact-ℚ fallback.
 std::size_t real_rank(const BinaryMatrix& m);
 
 /// Number of distinct nonzero rows of M.

@@ -297,13 +297,10 @@ SolveReport solve_local(const SolveRequest& request) {
   report.add_timing("bounds", phase.seconds());
   report.lower_bound = probes.best;
   report.add_telemetry("local.bound.source", probes.source);
-  report.add_telemetry("local.bound.rank_gf2",
-                       static_cast<std::uint64_t>(probes.rank_gf2));
+  report.add_telemetry("local.bound.rank",
+                       static_cast<std::uint64_t>(probes.rank));
   report.add_telemetry("local.bound.counting",
                        static_cast<std::uint64_t>(probes.counting));
-  if (probes.rank_modp != 0)
-    report.add_telemetry("local.bound.rank_modp",
-                         static_cast<std::uint64_t>(probes.rank_modp));
   if (probes.fooling != 0)
     report.add_telemetry("local.bound.fooling",
                          static_cast<std::uint64_t>(probes.fooling));

@@ -1,121 +1,125 @@
 #include "linalg/rank.h"
 
 #include <algorithm>
+#include <cstdint>
 
-#include "linalg/bigint.h"
 #include "support/contracts.h"
 
 namespace ebmf {
 
 namespace {
 
+/// The prime of the mod-p rung: the Mersenne prime 2^31 − 1.
+constexpr std::uint32_t kRankPrime = 2147483647u;
+
 /// Verify all rows share the declared width.
 void check_rows(const std::vector<BitVec>& rows, std::size_t cols) {
   for (const auto& r : rows) EBMF_EXPECTS(r.size() == cols);
 }
 
+/// The mod-p rung keeps its entries as lazy residues: ≡ the true entry mod
+/// p, but anywhere in [0, p + 2], so zero is 0 or p. Reducing x < 2^63
+/// into that range takes two shift-add folds (2^31 ≡ 1 mod p) and no
+/// compare, which leaves the row update free to vectorize.
+std::uint32_t fold(std::uint64_t x) {
+  x = (x & kRankPrime) + (x >> 31);  // < 3 · 2^31
+  x = (x & kRankPrime) + (x >> 31);  // ≤ p + 2
+  return static_cast<std::uint32_t>(x);
+}
+
+bool is_zero_mod_p(std::uint32_t lazy) {
+  return lazy == 0 || lazy == kRankPrime;
+}
+
+/// a · b mod p in [0, p), for lazy residues a and b.
+std::uint32_t mul_mod(std::uint32_t a, std::uint32_t b) {
+  const std::uint32_t lazy = fold(std::uint64_t{a} * b);
+  return lazy >= kRankPrime ? lazy - kRankPrime : lazy;
+}
+
+/// a^(p−2) = a^(−1) mod p (Fermat), for a lazy residue a ≢ 0.
+std::uint32_t inverse_mod(std::uint32_t a) {
+  std::uint32_t result = 1;
+  for (std::uint32_t e = kRankPrime - 2; e != 0; e >>= 1) {
+    if (e & 1u) result = mul_mod(result, a);
+    a = mul_mod(a, a);
+  }
+  return result;
+}
+
 }  // namespace
 
-std::size_t rank_mod_p(const std::vector<BitVec>& rows, std::size_t cols,
-                       std::uint64_t p) {
-  check_rows(rows, cols);
-  EBMF_EXPECTS(p >= 2 && p < (std::uint64_t{1} << 31));
-  const std::size_t m = rows.size();
-  std::vector<std::vector<std::uint64_t>> a(m,
-                                            std::vector<std::uint64_t>(cols));
-  for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < cols; ++j) a[i][j] = rows[i].test(j) ? 1 : 0;
+// Both eliminations below pick the first row at or below `rank` with a
+// nonzero entry in `col` as the pivot. Every row between `rank` and the
+// pivot is zero there, and so is the row swapped down into the pivot's
+// slot, so only the rows after the pivot need eliminating.
 
-  // Modular inverse by Fermat (p prime).
-  const auto pow_mod = [p](std::uint64_t b, std::uint64_t e) {
-    std::uint64_t r = 1;
-    b %= p;
-    while (e != 0) {
-      if (e & 1) r = r * b % p;
-      b = b * b % p;
-      e >>= 1;
-    }
-    return r;
-  };
+std::size_t rank_gf2(const std::vector<BitVec>& rows, std::size_t cols) {
+  check_rows(rows, cols);
+  const std::size_t m = rows.size();
+  const std::size_t words = (cols + 63) / 64;
+  std::vector<std::uint64_t> a(m * words);
+  for (std::size_t i = 0; i < m; ++i)
+    std::copy(rows[i].words().begin(), rows[i].words().end(),
+              a.begin() + static_cast<std::ptrdiff_t>(i * words));
 
   std::size_t rank = 0;
   for (std::size_t col = 0; col < cols && rank < m; ++col) {
+    const std::size_t w = col >> 6;
+    const std::uint64_t bit = std::uint64_t{1} << (col & 63);
     std::size_t pivot = rank;
-    while (pivot < m && a[pivot][col] == 0) ++pivot;
+    while (pivot < m && (a[pivot * words + w] & bit) == 0) ++pivot;
     if (pivot == m) continue;
-    std::swap(a[pivot], a[rank]);
-    const std::uint64_t inv = pow_mod(a[rank][col], p - 2);
-    for (std::size_t j = col; j < cols; ++j) a[rank][j] = a[rank][j] * inv % p;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i == rank || a[i][col] == 0) continue;
-      const std::uint64_t f = a[i][col];
-      for (std::size_t j = col; j < cols; ++j)
-        a[i][j] = (a[i][j] + (p - f) * a[rank][j]) % p;
+    std::uint64_t* top = &a[rank * words];
+    if (pivot != rank)
+      std::swap_ranges(top + w, top + words, &a[pivot * words + w]);
+    for (std::size_t i = pivot + 1; i < m; ++i) {
+      std::uint64_t* row = &a[i * words];
+      if ((row[w] & bit) == 0) continue;
+      for (std::size_t k = w; k < words; ++k) row[k] ^= top[k];
     }
     ++rank;
   }
   return rank;
 }
 
-std::size_t rank_bareiss(const std::vector<BitVec>& rows, std::size_t cols) {
+std::size_t rank_mod_p(const std::vector<BitVec>& rows, std::size_t cols) {
   check_rows(rows, cols);
   const std::size_t m = rows.size();
-  std::vector<std::vector<BigInt>> a(m, std::vector<BigInt>(cols));
+  std::vector<std::uint32_t> a(m * cols);
   for (std::size_t i = 0; i < m; ++i)
-    for (std::size_t j = 0; j < cols; ++j)
-      a[i][j] = BigInt(rows[i].test(j) ? 1 : 0);
+    for (std::size_t j = rows[i].find_first(); j < cols;
+         j = rows[i].find_next(j))
+      a[i * cols + j] = 1;
 
-  BigInt prev_pivot(1);
   std::size_t rank = 0;
   for (std::size_t col = 0; col < cols && rank < m; ++col) {
     std::size_t pivot = rank;
-    while (pivot < m && a[pivot][col].is_zero()) ++pivot;
+    while (pivot < m && is_zero_mod_p(a[pivot * cols + col])) ++pivot;
     if (pivot == m) continue;
-    std::swap(a[pivot], a[rank]);
-    // Fraction-free update of the trailing block:
-    //   a[i][j] := (a[rank][col] * a[i][j] − a[i][col] * a[rank][j]) / prev
-    // where the division is exact (Bareiss' theorem: entries stay minors).
-    for (std::size_t i = rank + 1; i < m; ++i) {
-      for (std::size_t j = col + 1; j < cols; ++j) {
-        BigInt num = a[rank][col] * a[i][j] - a[i][col] * a[rank][j];
-        a[i][j] = num.div_exact(prev_pivot);
-      }
-      a[i][col] = BigInt(0);
+    std::uint32_t* top = &a[rank * cols];
+    if (pivot != rank)
+      std::swap_ranges(top + col, top + cols, &a[pivot * cols + col]);
+    const std::uint32_t inv = inverse_mod(top[col]);
+    for (std::size_t i = pivot + 1; i < m; ++i) {
+      std::uint32_t* row = &a[i * cols];
+      if (is_zero_mod_p(row[col])) continue;
+      // row −= (row[col] / top[col]) · top, from col + 1 on. With neg < p
+      // and lazy entries ≤ p + 2, every sum stays below 2^62 + 2^32.
+      const std::uint64_t neg = kRankPrime - mul_mod(row[col], inv);
+      for (std::size_t j = col + 1; j < cols; ++j)
+        row[j] = fold(row[j] + neg * top[j]);
     }
-    prev_pivot = a[rank][col];
     ++rank;
   }
   return rank;
 }
 
 std::size_t real_rank(const std::vector<BitVec>& rows, std::size_t cols) {
-  check_rows(rows, cols);
-  if (rows.empty() || cols == 0) return 0;
-  const std::size_t bound = std::min(rows.size(), cols);
-  // Fast path: a 31-bit prime far larger than any entry. rank_mod_p is a
-  // lower bound on rank over ℚ, so hitting min(m, n) is a certificate.
-  const std::size_t rp = rank_mod_p(rows, cols, 2147483647ull);  // 2^31 − 1
-  if (rp == bound) return rp;
-  // Certify exactly. (Bareiss is exact over ℤ; no probabilistic gap.)
-  const std::size_t rb = rank_bareiss(rows, cols);
-  EBMF_ENSURES(rb >= rp);
-  return rb;
-}
-
-std::size_t rank_gf2(std::vector<BitVec> rows) {
-  const std::size_t cols = rows.empty() ? 0 : rows[0].size();
-  for (const auto& r : rows) EBMF_EXPECTS(r.size() == cols);
-  std::size_t rank = 0;
-  for (std::size_t col = 0; col < cols && rank < rows.size(); ++col) {
-    std::size_t pivot = rank;
-    while (pivot < rows.size() && !rows[pivot].test(col)) ++pivot;
-    if (pivot == rows.size()) continue;
-    std::swap(rows[pivot], rows[rank]);
-    for (std::size_t i = 0; i < rows.size(); ++i)
-      if (i != rank && rows[i].test(col)) rows[i] ^= rows[rank];
-    ++rank;
-  }
-  return rank;
+  const std::size_t full = std::min(rows.size(), cols);
+  const std::size_t gf2 = rank_gf2(rows, cols);
+  if (gf2 == full) return gf2;
+  return std::max(gf2, rank_mod_p(rows, cols));
 }
 
 }  // namespace ebmf

@@ -1,44 +1,44 @@
 #pragma once
 /// \file rank.h
-/// \brief Exact matrix rank over ℚ (= rank over ℝ for integer matrices),
-/// plus ranks over prime fields, for 0/1 matrices given as bit-vector rows.
+/// \brief The rank ladder behind Eq. 3 of the paper, for 0/1 matrices given
+/// as bit-vector rows.
 ///
-/// Eq. 3 of the paper — rank_ℝ(M) ≤ r_B(M) — is the lower bound that lets
-/// Algorithm 1 (SAP) terminate and certify optimality. Because a wrong rank
-/// would silently produce wrong "optimal" claims, the default entry point
-/// `real_rank` is fully exact: a fast modular elimination provides a lower
-/// bound and an early exit at full rank; otherwise fraction-free Bareiss
-/// elimination over arbitrary-precision integers certifies the answer.
+/// Eq. 3 — rank_ℝ(M) ≤ r_B(M) — is the lower bound that lets Algorithm 1
+/// (SAP) stop and certify optimality. For an integer matrix the rank over
+/// any prime field is at most the rank over ℚ (= over ℝ): a minor that
+/// vanishes over ℚ vanishes mod p. So every rung below is a *sound* lower
+/// bound on r_B, and so is `real_rank`, their maximum.
+///
+/// `real_rank` is also *exact* whenever rank_ℚ(M) ≤ 22. A nonzero r×r minor
+/// of a 0/1 matrix is bounded by Hadamard's (r+1)^((r+1)/2) / 2^r, which at
+/// r = 22 is 1.09e9 < 2^31 − 1; so it stays nonzero mod p and the mod-p rung
+/// reaches it. Above 22 the ladder can only undercount when p divides every
+/// maximal nonzero minor, and it never reports less than min(rank_ℚ, 22).
+/// There is no exact-ℚ fallback.
 
-#include <cstdint>
+#include <cstddef>
 #include <vector>
 
 #include "support/bitvec.h"
 
 namespace ebmf {
 
-/// Rank of the 0/1 matrix over the prime field GF(p).
-/// Rows are BitVecs of equal length `cols`. Always ≤ rank over ℚ.
-/// Precondition: p is prime and p < 2^31 (unchecked primality).
-std::size_t rank_mod_p(const std::vector<BitVec>& rows, std::size_t cols,
-                       std::uint64_t p);
-
-/// Exact rank over ℚ via fraction-free Bareiss elimination on BigInt.
-/// Exponential-free: intermediate entries are minors of M (Hadamard-bounded).
-std::size_t rank_bareiss(const std::vector<BitVec>& rows, std::size_t cols);
-
-/// Exact rank over ℝ (== over ℚ for a 0/1 matrix).
+/// Rank over GF(2): word-parallel row echelon on one flat word buffer.
+/// Rows are BitVecs of equal length `cols`.
 ///
-/// Strategy: eliminate modulo a fixed 31-bit prime. Since rank_GF(p) ≤
-/// rank_ℚ ≤ min(m, n), a full modular rank is already certified; otherwise
-/// fall back to exact Bareiss. Deterministic and exact in all cases.
+/// Note: GF(2) rank is *neither* the paper's rank_ℝ *nor* the binary rank
+/// r_B. It is a sound lower bound on both, and it can fall below rank_ℝ
+/// (e.g. the parity matrix 011;101;110 has GF(2) rank 2, rank_ℝ 3).
+std::size_t rank_gf2(const std::vector<BitVec>& rows, std::size_t cols);
+
+/// Rank over GF(2^31 − 1): row echelon on one flat uint32 buffer with
+/// Mersenne shift-add reduction, eliminating below the pivot only.
+/// Always ≤ rank over ℚ, and equal to it when that rank is ≤ 22.
+std::size_t rank_mod_p(const std::vector<BitVec>& rows, std::size_t cols);
+
+/// The Eq. 3 lower bound: GF(2) first, returned when it already reaches
+/// min(m, n); otherwise max(GF(2) rank, mod-p rank). Always ≤ rank_ℚ(M)
+/// (hence ≤ r_B), exact when rank_ℚ(M) ≤ 22.
 std::size_t real_rank(const std::vector<BitVec>& rows, std::size_t cols);
-
-/// Rank over GF(2) (word-parallel elimination directly on the bit rows).
-///
-/// Note: this is *neither* the paper's rank_ℝ lower bound *nor* the binary
-/// rank r_B; it is exposed because the three are easy to conflate and the
-/// test suite demonstrates they differ.
-std::size_t rank_gf2(std::vector<BitVec> rows);
 
 }  // namespace ebmf

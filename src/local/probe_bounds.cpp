@@ -4,26 +4,14 @@
 
 #include "core/bounds.h"
 #include "core/fooling.h"
-#include "linalg/rank.h"
 #include "support/stopwatch.h"
 
 namespace ebmf::local {
 
 namespace {
 
-/// Cell-count ceiling below which the GF(p) rank probe always runs (dense
-/// modular elimination is O(m·n·min(m,n)) on scalars). Larger instances
-/// probe it only when the remaining budget clearly affords the estimate.
-constexpr std::size_t kModPCellLimit = 250000;
-/// Estimated seconds per scalar elimination op (calibration: 1000×1000
-/// full-rank elimination ≈ 1.9 s ⇒ ~2e-9 s/op with margin).
-constexpr double kModPSecondsPerOp = 2e-9;
-/// Fraction of the remaining budget the GF(p) probe may claim.
-constexpr double kModPBudgetShare = 0.4;
 /// 1-count ceiling for the greedy fooling-set probe (pairwise checks).
 constexpr std::size_t kFoolingOnesLimit = 1500;
-/// The Mersenne prime 2^31 − 1 for the GF(p) probe.
-constexpr std::uint64_t kProbePrime = 2147483647ull;
 
 /// r_B ≥ ⌈log2(D+1)⌉ when M has D distinct nonzero rows: each row's
 /// rectangle membership is a distinct nonempty subset of the r rectangles.
@@ -53,9 +41,9 @@ BoundProbes probe_lower_bounds(const BinaryMatrix& m, const Budget& budget,
     return probes;
   }
 
-  // GF(2) rank: word-parallel, the always-on probe.
-  probes.rank_gf2 = rank_gf2(m.row_vectors());
-  adopt(probes, probes.rank_gf2, "rank_gf2");
+  // The Eq. 3 rank ladder: the always-on probe.
+  probes.rank = real_rank(m);
+  adopt(probes, probes.rank, "rank");
 
   // Counting bound on rows and columns: near-free.
   if (!budget.exhausted()) {
@@ -63,23 +51,6 @@ BoundProbes probe_lower_bounds(const BinaryMatrix& m, const Budget& budget,
         std::max(counting_bound(distinct_nonzero_rows(m)),
                  counting_bound(distinct_nonzero_rows(m.transposed())));
     adopt(probes, probes.counting, "counting");
-  }
-
-  // GF(p) rank for a large odd prime: catches the GF(2)-degenerate cases
-  // (e.g. parity structure that collapses mod 2 but not mod p). Past the
-  // small-instance ceiling it runs only when the deadline clearly affords
-  // the O(m·n·min(m,n)) elimination — the probe itself cannot be cancelled.
-  const std::size_t cells = m.rows() * m.cols();
-  const double modp_estimate =
-      kModPSecondsPerOp * static_cast<double>(cells) *
-      static_cast<double>(std::min(m.rows(), m.cols()));
-  const bool modp_affordable =
-      cells <= kModPCellLimit ||
-      !budget.deadline.limited() ||
-      modp_estimate < kModPBudgetShare * budget.deadline.remaining_seconds();
-  if (!budget.exhausted() && modp_affordable) {
-    probes.rank_modp = rank_mod_p(m.row_vectors(), m.cols(), kProbePrime);
-    adopt(probes, probes.rank_modp, "rank_modp");
   }
 
   // Greedy fooling set on small instances.

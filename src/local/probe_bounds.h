@@ -7,19 +7,16 @@
 /// strategy brackets its incumbent with the best of several fast probes.
 /// All probes are *valid* lower bounds on r_B(M):
 ///
-///  * rank over GF(2) / GF(p): rank_GF(p)(M) ≤ rank_ℚ(M) ≤ r_B(M) — a field
-///    rank can only drop relative to ℚ, and Eq. 3 of the paper bounds r_B
-///    by rank_ℚ. GF(2) elimination is word-parallel on the bit rows, so it
-///    stays in the millisecond range even at 1000×1000.
+///  * rank: the shared Eq. 3 ladder (`real_rank`, linalg/rank.h) — GF(2)
+///    word-parallel elimination, then mod 2^31 − 1 unless GF(2) is already
+///    full rank. A field rank never exceeds rank_ℚ(M) ≤ r_B(M). At 1000×1000
+///    it takes milliseconds when GF(2) is full rank and well under a second
+///    otherwise.
 ///  * counting: D distinct nonzero rows map to distinct *nonempty* subsets
 ///    of the r rectangles, so 2^r − 1 ≥ D, i.e. r_B ≥ ⌈log2(D + 1)⌉ (dually
 ///    on columns).
 ///  * fooling set: no rectangle holds two fooling cells, so |S| ≤ r_B
 ///    (paper §II); probed greedily on small instances only.
-///
-/// Exact rank over ℚ (Bareiss bigints) is deliberately *not* probed — it is
-/// far too slow past a few hundred rows, which is exactly the regime the
-/// anytime tier exists for.
 
 #include <cstdint>
 #include <string>
@@ -32,9 +29,8 @@ namespace ebmf::local {
 /// The individual probe results plus the best combined bound.
 struct BoundProbes {
   std::size_t best = 0;      ///< max over all probes that ran — certified.
-  std::string source;        ///< Name of the winning probe ("rank_gf2", …).
-  std::size_t rank_gf2 = 0;  ///< Rank over GF(2); always probed.
-  std::size_t rank_modp = 0;  ///< Rank over GF(p), p = 2^31−1; 0 = skipped.
+  std::string source;        ///< Name of the winning probe ("rank", …).
+  std::size_t rank = 0;      ///< The Eq. 3 rank ladder; always probed.
   std::size_t counting = 0;  ///< ⌈log2(D+1)⌉ over distinct rows and columns.
   std::size_t fooling = 0;   ///< Greedy fooling-set size; 0 = skipped.
   double seconds = 0.0;      ///< Total probe wall-clock.

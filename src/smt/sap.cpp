@@ -273,7 +273,7 @@ SapResult sap_solve_core(const BinaryMatrix& m, const SapOptions& options) {
   };
   if (m.is_zero()) return finish(SapStatus::Optimal);
 
-  // Lower bound: exact real rank (Eq. 3).
+  // Lower bound: the rank ladder (Eq. 3).
   Stopwatch phase;
   result.rank_lower = real_rank(m);
   result.certified_lower = result.rank_lower;

@@ -4,10 +4,11 @@
 /// headline entry point.
 ///
 /// 1. Row packing produces a valid EBMF P (upper bound |P| ≥ r_B).
-/// 2. The real rank gives the lower bound (Eq. 3).
+/// 2. The rank ladder (linalg/rank.h) gives the lower bound (Eq. 3): sound
+///    always, and exactly rank_ℝ(M) whenever that is ≤ 22.
 /// 3. If they meet, P is optimal with no search at all.
 /// 4. Otherwise a fooling-set search (core/fooling.h) on a fixed node
-///    allowance seeks more than rank_ℝ(M) cells no rectangle can share:
+///    allowance seeks more than rank_lower cells no rectangle can share:
 ///    |P| of them prove P optimal with no formula built; fewer, but above
 ///    the rank, become the certified lower bound L.
 /// 5. Otherwise the SMT formula for b = |P|−1 is built and solved with
@@ -72,7 +73,7 @@ struct SapSmtCall {
 struct SapResult {
   Partition partition;            ///< Best valid EBMF found (always valid).
   SapStatus status = SapStatus::HeuristicOnly;
-  std::size_t rank_lower = 0;     ///< rank_ℝ(M) (Eq. 3 lower bound).
+  std::size_t rank_lower = 0;     ///< Eq. 3 rank ladder: ≤ rank_ℝ(M).
   /// Tightest certified lower bound on r_B: rank_lower, raised to the
   /// fooling set's size when that is larger, and to b+1 by every UNSAT
   /// answer at bound b (the race can certify this even when the budget

@@ -15,7 +15,6 @@
 #include "core/bounds.h"
 #include "core/partition.h"
 #include "engine/engine.h"
-#include "linalg/rank.h"
 #include "local/probe_bounds.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
@@ -117,10 +116,10 @@ TEST(ProbeBounds, LadderIsValidAndPicksTheBest) {
   const auto probes = probe_lower_bounds(m, Budget{}, 1);
   // Each probe is a valid lower bound on r_B, so none exceeds an actual
   // partition's size; the champion is the max of those that ran.
-  EXPECT_GE(probes.best, probes.rank_gf2);
+  EXPECT_GE(probes.best, probes.rank);
   EXPECT_GE(probes.best, probes.counting);
-  EXPECT_GE(probes.best, probes.rank_modp);
-  EXPECT_GE(probes.rank_modp, rank_gf2(m.row_vectors()) > 0 ? 1u : 0u);
+  EXPECT_EQ(probes.rank, real_rank(m));
+  EXPECT_GE(probes.rank, 1u);
   EXPECT_NE(probes.source, "");
   // Trivially: the lower bound cannot exceed the trivial upper bound.
   EXPECT_LE(probes.best, m.rows());
@@ -171,7 +170,7 @@ TEST(EngineGap, LocalStrategyCertifiesEasyOptimum) {
   // greedy seed attains it, so `local` must certify gap == 0.
   Rng rng(6);
   const auto m = BinaryMatrix::random(24, 48, 0.5, rng);
-  if (rank_gf2(m.row_vectors()) != m.rows()) GTEST_SKIP();
+  if (real_rank(m) != m.rows()) GTEST_SKIP();
   const engine::Engine engine;
   auto request = engine::SolveRequest::dense(m, "local");
   const auto report = engine.solve(request);
