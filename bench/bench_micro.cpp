@@ -19,7 +19,6 @@
 #include "core/bounds.h"
 #include "core/row_packing.h"
 #include "core/trivial.h"
-#include "dlx/packing_dlx.h"
 #include "linalg/rank.h"
 #include "sat/cardinality.h"
 #include "sat/solver.h"
@@ -113,17 +112,6 @@ void BM_RowPackingHundredTrials(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_RowPackingHundredTrials)->Arg(10)->Arg(50)->Arg(100);
-
-void BM_DlxPackingPass(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto m = random_matrix(n, 0.5, 7);
-  std::vector<std::size_t> order(n);
-  for (std::size_t i = 0; i < n; ++i) order[i] = i;
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ebmf::dlx::row_packing_dlx_pass(m, order));
-  }
-}
-BENCHMARK(BM_DlxPackingPass)->Arg(10)->Arg(30)->Arg(100);
 
 void BM_TrivialHeuristic(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));

@@ -1463,9 +1463,8 @@ std::string usage() {
          "\n"
          "solve strategies: auto (fitted portfolio), sap, local (anytime), "
          "heuristic,\n"
-         "greedy, trivial, brute, dlx, completion; run a command without "
-         "arguments\n"
-         "for its flags\n";
+         "trivial, completion; run a command without arguments for its "
+         "flags\n";
 }
 
 int run_command(const std::string& command,

@@ -3,11 +3,10 @@
 /// \brief The unified solving facade: one request type, one report type, a
 /// registry of named strategies, and batch/component-parallel execution.
 ///
-/// Before the facade the library exposed seven disconnected entry points
-/// (sap_solve, completion::solve_masked, brute force, greedy rectangles,
-/// row packing, DLX packing, the FTQC two-level path), each with bespoke
-/// options and result structs; the CLI, benches, and examples re-implemented
-/// dispatch, timing, and validation by hand. `ebmf::engine` is the single
+/// Before the facade each backend (sap_solve, completion::solve_masked,
+/// row packing, the FTQC two-level path) had bespoke options and result
+/// structs, and the CLI, benches, and examples re-implemented dispatch,
+/// timing, and validation by hand. `ebmf::engine` is the single
 /// stable surface they now share, in the spirit of portfolio SAT solvers.
 ///
 /// ## Request / report schema
@@ -17,7 +16,7 @@
 ///    precedence when set; non-completion strategies solve its DC-as-0
 ///    pattern, which is always admissible),
 ///  * a `strategy` name resolved against the SolverRegistry ("auto" picks a
-///    backend from instance size/density and falls back along a portfolio),
+///    backend from instance size/density and don't-cares),
 ///  * a shared `Budget` (deadline, per-call conflict cap, node cap,
 ///    cancellation flag) honoured by every backend,
 ///  * common knobs (trials/seed/stop_at for the heuristic phase, encoding
@@ -276,8 +275,8 @@ class SolverRegistry {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
   /// A registry pre-loaded with the built-in strategies: "sap",
-  /// "heuristic", "greedy", "trivial", "brute", "dlx", "completion", and
-  /// the portfolio dispatcher "auto".
+  /// "heuristic", "trivial", "completion", "local", and the portfolio
+  /// dispatcher "auto".
   static SolverRegistry with_builtins();
 
  private:

@@ -16,9 +16,6 @@
 
 namespace ebmf::engine {
 
-/// 1-cell count at or below which exhaustive search wins outright.
-inline constexpr std::size_t kFitBruteOnesLimit = 16;
-
 /// Density (ones/(m·n)) at or below which preprocessing reliably shatters
 /// the pattern into SMT-feasible components.
 inline constexpr double kFitSparseDensity = 0.08;

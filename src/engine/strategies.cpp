@@ -4,8 +4,7 @@
 // its backend-specific result onto the unified SolveReport: status, bounds,
 // per-phase timings, and key/value telemetry. The "auto" strategy is the
 // portfolio dispatcher: it picks a backend from instance size/density and
-// falls back along brute → sap when the exhaustive search runs out of
-// budget.
+// don't-cares.
 
 #include <algorithm>
 #include <cstdio>
@@ -13,11 +12,8 @@
 
 #include "completion/completion_solver.h"
 #include "core/bounds.h"
-#include "core/brute_force.h"
-#include "core/greedy_rect.h"
 #include "core/row_packing.h"
 #include "core/trivial.h"
-#include "dlx/packing_dlx.h"
 #include "engine/engine.h"
 #include "engine/portfolio_cutoffs.h"
 #include "local/local_search.h"
@@ -62,36 +58,6 @@ RowPackingOptions packing_from(const SolveRequest& request) {
   packing.use_transpose = request.use_transpose;
   packing.budget = request.budget;
   return packing;
-}
-
-/// Shared shape of the pure-heuristic backends: rank lower bound + one
-/// multi-trial packing run, Optimal exactly when they meet.
-template <typename Run>
-SolveReport heuristic_report(const SolveRequest& request, Run run) {
-  SolveReport report;
-  const BinaryMatrix& m = request.pattern();
-  if (m.is_zero()) {
-    report.status = Status::Optimal;
-    return report;
-  }
-  Stopwatch phase;
-  report.lower_bound = real_rank(m);
-  report.add_timing("rank", phase.seconds());
-
-  RowPackingOptions packing = packing_from(request);
-  if (packing.stop_at == 0) packing.stop_at = report.lower_bound;
-  phase.restart();
-  RowPackingResult packed = run(m, packing);
-  report.add_timing("heuristic", phase.seconds());
-  report.partition = std::move(packed.partition);
-  report.status = report.partition.size() == report.lower_bound
-                      ? Status::Optimal
-                      : Status::Heuristic;
-  report.add_telemetry("packing.trials_run",
-                       static_cast<std::uint64_t>(packed.trials_run));
-  report.add_telemetry("packing.from_transpose",
-                       packed.from_transpose ? "1" : "0");
-  return report;
 }
 
 SolveReport solve_sap(const SolveRequest& request) {
@@ -160,28 +126,33 @@ SolveReport solve_sap(const SolveRequest& request) {
   return report;
 }
 
+/// Rank lower bound + one multi-trial row-packing run (Algorithm 2),
+/// Optimal exactly when they meet.
 SolveReport solve_heuristic(const SolveRequest& request) {
-  return heuristic_report(request,
-                          [](const BinaryMatrix& m,
-                             const RowPackingOptions& options) {
-                            return row_packing_ebmf(m, options);
-                          });
-}
+  SolveReport report;
+  const BinaryMatrix& m = request.pattern();
+  if (m.is_zero()) {
+    report.status = Status::Optimal;
+    return report;
+  }
+  Stopwatch phase;
+  report.lower_bound = real_rank(m);
+  report.add_timing("rank", phase.seconds());
 
-SolveReport solve_greedy(const SolveRequest& request) {
-  return heuristic_report(request,
-                          [](const BinaryMatrix& m,
-                             const RowPackingOptions& options) {
-                            return greedy_rectangles(m, options);
-                          });
-}
-
-SolveReport solve_dlx(const SolveRequest& request) {
-  return heuristic_report(request,
-                          [](const BinaryMatrix& m,
-                             const RowPackingOptions& options) {
-                            return dlx::row_packing_dlx(m, options);
-                          });
+  RowPackingOptions packing = packing_from(request);
+  if (packing.stop_at == 0) packing.stop_at = report.lower_bound;
+  phase.restart();
+  RowPackingResult packed = row_packing_ebmf(m, packing);
+  report.add_timing("heuristic", phase.seconds());
+  report.partition = std::move(packed.partition);
+  report.status = report.partition.size() == report.lower_bound
+                      ? Status::Optimal
+                      : Status::Heuristic;
+  report.add_telemetry("packing.trials_run",
+                       static_cast<std::uint64_t>(packed.trials_run));
+  report.add_telemetry("packing.from_transpose",
+                       packed.from_transpose ? "1" : "0");
+  return report;
 }
 
 SolveReport solve_trivial(const SolveRequest& request) {
@@ -200,41 +171,6 @@ SolveReport solve_trivial(const SolveRequest& request) {
   report.status = report.partition.size() == report.lower_bound
                       ? Status::Optimal
                       : Status::Heuristic;
-  return report;
-}
-
-SolveReport solve_brute(const SolveRequest& request) {
-  SolveReport report;
-  const BinaryMatrix& m = request.pattern();
-  if (m.is_zero()) {
-    report.status = Status::Optimal;
-    report.add_telemetry("brute.completed", "1");
-    return report;
-  }
-  Stopwatch phase;
-  auto exact = brute_force_ebmf(m, 0, request.budget);
-  report.add_timing("brute", phase.seconds());
-  if (exact.has_value()) {
-    report.partition = std::move(exact->partition);
-    report.lower_bound = exact->binary_rank;
-    report.status = Status::Optimal;
-    report.add_telemetry("brute.completed", "1");
-    return report;
-  }
-  // Budget ran out mid-proof: fall back to the anytime bracket so the
-  // report still carries a valid partition.
-  phase.restart();
-  report.lower_bound = real_rank(m);
-  report.add_timing("rank", phase.seconds());
-  RowPackingOptions packing = packing_from(request);
-  if (packing.stop_at == 0) packing.stop_at = report.lower_bound;
-  phase.restart();
-  report.partition = row_packing_ebmf(m, packing).partition;
-  report.add_timing("heuristic", phase.seconds());
-  report.status = report.partition.size() == report.lower_bound
-                      ? Status::Optimal
-                      : Status::Bounded;
-  report.add_telemetry("brute.completed", "0");
   return report;
 }
 
@@ -422,8 +358,6 @@ SolveReport solve_auto(const SolveRequest& request) {
   std::string selected;
   if (request.has_dont_cares()) {
     selected = "completion";
-  } else if (ones <= kFitBruteOnesLimit) {
-    selected = "brute";
   } else if (ones <= exact_limit) {
     selected = "sap";
   } else if (ones <= race_limit) {
@@ -439,22 +373,9 @@ SolveReport solve_auto(const SolveRequest& request) {
     sub.smt_cell_limit = kAutoSmtCellGuard;
   if (race && sub.probes == 1) sub.probes = 0;  // auto-width bound race
 
-  std::string portfolio = selected;
   SolveReport report;
   if (selected == "completion") {
     report = solve_completion(sub);
-  } else if (selected == "brute") {
-    report = solve_brute(sub);
-    const std::string* completed = report.find_telemetry("brute.completed");
-    if (completed != nullptr && *completed == "0" &&
-        !request.budget.exhausted()) {
-      // Portfolio fallback: let SAP spend what remains of the budget.
-      sub.strategy = "sap";
-      if (sub.smt_cell_limit == 0) sub.smt_cell_limit = kAutoSmtCellGuard;
-      selected = "sap";
-      portfolio += ">sap";
-      report = solve_sap(sub);
-    }
   } else if (selected == "sap") {
     report = solve_sap(sub);
   } else {
@@ -462,7 +383,6 @@ SolveReport solve_auto(const SolveRequest& request) {
   }
   report.strategy = selected;
   report.add_telemetry("auto.selected", selected);
-  report.add_telemetry("auto.portfolio", portfolio);
   report.add_telemetry("auto.density", density);
   report.add_telemetry("auto.tier", selected == "local" ? "anytime"
                                     : race              ? "race"
@@ -480,14 +400,8 @@ SolverRegistry SolverRegistry::with_builtins() {
   registry.add("heuristic", "multi-trial row packing (Algorithm 2) with a "
                             "rank certificate",
                solve_heuristic);
-  registry.add("greedy", "greedy whole-rectangle extraction baseline",
-               solve_greedy);
   registry.add("trivial", "consolidated single-row/column partition",
                solve_trivial);
-  registry.add("brute", "exhaustive exact search (tiny instances, ≲20 ones)",
-               solve_brute);
-  registry.add("dlx", "row packing with exact-cover (DLX) decomposition",
-               solve_dlx);
   registry.add("completion", "don't-care-aware SAT minimization (masked "
                              "patterns)",
                solve_completion);
@@ -495,7 +409,7 @@ SolverRegistry SolverRegistry::with_builtins() {
                         "(large instances)",
                solve_local);
   registry.add("auto", "portfolio: backend picked by fitted size/density "
-                       "cutoffs, with fallback",
+                       "cutoffs and don't-cares",
                solve_auto);
   return registry;
 }

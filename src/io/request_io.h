@@ -14,7 +14,7 @@
 ///  "label": "patch-17",             // echoed into the report
 ///  "budget": 2.5,                   // per-request deadline, seconds
 ///  "conflicts": 20000,              // SAT conflict cap per decision call
-///  "nodes": 0,                      // DLX/brute node cap (0 = unlimited)
+///  "nodes": 0,                      // local move cap (0 = unlimited)
 ///  "probes": 1,                     // SMT bound-race width (1 =
 ///                                   // sequential, 0 = hardware threads)
 ///  "trials": 100, "seed": 1, "stop_at": 0,

@@ -1,4 +1,4 @@
-// Anytime local search over rectangle covers: greedy seeding, merge /
+// Anytime local search over rectangle covers: row-packing seeding, merge /
 // relocation squeezes, tabu-guarded destroy-and-repair, stall-triggered
 // perturbation and restarts. The working cover is a valid partition after
 // every accepted move, so an exhausted or cancelled budget returns the best
@@ -10,7 +10,7 @@
 #include <unordered_map>
 #include <utility>
 
-#include "core/greedy_rect.h"
+#include "core/row_packing.h"
 #include "obs/events.h"
 #include "support/contracts.h"
 #include "support/rng.h"
@@ -150,13 +150,14 @@ LocalSearchResult local_search_ebmf(const BinaryMatrix& m,
       options.tabu_tenure == 0 ? kDefaultTabuTenure : options.tabu_tenure;
   const std::uint64_t stall_limit = std::max<std::uint64_t>(options.stall_limit, 1);
 
-  // Seed: multi-trial greedy extraction (both orientations), then squeeze.
+  // Seed: multi-trial row packing (Algorithm 2, both orientations), then
+  // squeeze.
   RowPackingOptions seeding;
   seeding.trials = std::max<std::size_t>(options.seed_trials, 1);
   seeding.seed = rng();
   seeding.stop_at = options.stop_at;
   seeding.budget = options.budget;
-  Partition cover = greedy_rectangles(m, seeding).partition;
+  Partition cover = row_packing_ebmf(m, seeding).partition;
   stats.seed_depth = cover.size();
   stats.merges += merge_pass(cover);
   stats.relocations += relocation_pass(cover);
@@ -186,12 +187,12 @@ LocalSearchResult local_search_ebmf(const BinaryMatrix& m,
     if (cover.size() <= 1 || best.size() <= 1) break;
 
     if (stall >= 3 * stall_limit) {
-      // Hard stall: reseed from a fresh shuffled greedy cover (the best
+      // Hard stall: reseed from a fresh shuffled packing pass (the best
       // incumbent is kept aside; the working cover diversifies).
       ++stats.restarts;
       stall = 0;
       tabu.clear();
-      cover = greedy_rectangles_pass(m, rng.permutation(m.rows()));
+      cover = row_packing_pass(m, rng.permutation(m.rows()));
       stats.merges += merge_pass(cover);
       stats.relocations += relocation_pass(cover);
       obs::emit_event(obs::EventCode::LocalPerturb, cover.size(), stall);

@@ -6,8 +6,8 @@
 /// regimes).
 ///
 /// The search follows the restart-managed metaheuristic shape of the
-/// NPBenchmark solvers: seed a valid cover from greedy rectangle extraction,
-/// then improve it with tabu-guarded move operators —
+/// NPBenchmark solvers: seed a valid cover from multi-trial row packing
+/// (Algorithm 2), then improve it with tabu-guarded move operators —
 ///
 ///  * rectangle **merge**: two rectangles with identical row sets (or
 ///    identical column sets) consolidate into one, depth −1;
@@ -46,14 +46,14 @@ struct LocalSearchOptions {
   /// Hard cap on destroy-and-repair moves. 0 = unlimited when the budget
   /// carries any limit, else an internal default so the search terminates.
   std::uint64_t max_moves = 0;
-  /// Greedy seeding passes (shuffled row orders; best cover wins).
+  /// Row-packing seeding passes (shuffled row orders; best cover wins).
   std::size_t seed_trials = 4;
   /// Share of the cover destroyed per large-neighborhood move.
   double destroy_fraction = 0.12;
   /// Moves a destroyed rectangle stays tabu for re-destruction. 0 = auto.
   std::uint64_t tabu_tenure = 0;
   /// Non-improving moves before a split perturbation (and, at three times
-  /// this, a fresh greedy restart).
+  /// this, a fresh row-packing restart).
   std::uint64_t stall_limit = 60;
 };
 
@@ -73,8 +73,8 @@ struct LocalSearchStats {
   std::uint64_t relocations = 0;  ///< Rectangles emptied by row relocation.
   std::uint64_t absorptions = 0;  ///< Rows grown onto surviving rectangles.
   std::uint64_t splits = 0;       ///< Perturbation splits applied.
-  std::uint64_t restarts = 0;     ///< Fresh greedy reseeds after stalls.
-  std::size_t seed_depth = 0;     ///< Depth of the initial greedy cover.
+  std::uint64_t restarts = 0;     ///< Fresh packing reseeds after stalls.
+  std::size_t seed_depth = 0;     ///< Depth of the initial packing cover.
   std::vector<Incumbent> incumbents;  ///< Improving incumbents, in order.
 };
 

@@ -45,15 +45,12 @@ constexpr std::size_t kMaxProbes = 64;
 constexpr double kEncodeSecondsPerUnit = 4e-10;
 
 /// Refuse the SMT phase when building the first formula would by itself
-/// consume most of the remaining deadline. Unlimited deadlines always
-/// qualify — the caller asked for an exact answer at any cost.
+/// consume most of the remaining deadline (Budget::affords).
 bool smt_encode_affordable(std::size_t cells, std::size_t bound,
                            const Budget& budget) {
-  if (!budget.deadline.limited()) return true;
-  const double estimate = kEncodeSecondsPerUnit * static_cast<double>(cells) *
-                          static_cast<double>(cells) *
-                          static_cast<double>(bound);
-  return estimate < 0.5 * budget.deadline.remaining_seconds();
+  return budget.affords(kEncodeSecondsPerUnit * static_cast<double>(cells) *
+                        static_cast<double>(cells) *
+                        static_cast<double>(bound));
 }
 
 /// Branch-and-bound nodes the fooling-set search may spend before the SAT

@@ -4,7 +4,7 @@
 ///
 /// Before the engine facade each backend carried its own budget fields
 /// (`SapOptions::deadline` + `conflicts_per_call`, `CompletionOptions`
-/// duplicates, DLX node caps, a bare `Deadline` in the packing options).
+/// duplicates, search-node caps, a bare `Deadline` in the packing options).
 /// Budget unifies them: one value type holding the wall-clock deadline, the
 /// per-SAT-call conflict cap, the search-node cap, and an optional shared
 /// cancellation flag for cooperative interruption across threads.
@@ -37,7 +37,7 @@ struct Budget {
 
   Deadline deadline;                ///< Soft wall-clock limit.
   std::int64_t max_conflicts = -1;  ///< Per SAT decision call (<0 = unlimited).
-  std::uint64_t max_nodes = 0;      ///< Search-node cap (DLX/brute; 0 = unlimited).
+  std::uint64_t max_nodes = 0;      ///< Node/move cap (0 = unlimited).
   /// Optional shared stop flag; null means "not cancellable".
   std::shared_ptr<std::atomic<bool>> cancel;
   /// Optional secondary stop flag, observed in addition to `cancel`. The
@@ -78,6 +78,14 @@ struct Budget {
   /// True when work should stop now (cancelled or past the deadline).
   [[nodiscard]] bool exhausted() const {
     return cancelled() || deadline.expired();
+  }
+
+  /// True when `seconds` of uninterruptible work (say, building a SAT
+  /// formula) fits in half of the remaining deadline. Unlimited deadlines
+  /// afford anything: the caller asked for an exact answer at any cost.
+  [[nodiscard]] bool affords(double seconds) const {
+    return !deadline.limited() ||
+           seconds < 0.5 * deadline.remaining_seconds();
   }
 
   /// True when any finite limit is set.

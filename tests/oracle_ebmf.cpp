@@ -1,4 +1,4 @@
-#include "core/brute_force.h"
+#include "oracle_ebmf.h"
 
 #include <algorithm>
 
@@ -12,18 +12,14 @@ namespace {
 /// Depth-first search over canonical label assignments.
 class LabelSearch {
  public:
-  LabelSearch(const BinaryMatrix& m, std::size_t bound, const Budget& budget)
+  LabelSearch(const BinaryMatrix& m, std::size_t bound)
       : m_(&m),
-        budget_(&budget),
         ones_(m.ones()),
         bound_(bound),
         labels_(ones_.size(), 0) {}
 
   /// Find any exact partition into at most `bound_` rectangles.
   bool run() { return assign(0, 0); }
-
-  /// True when the search stopped on the budget, not on exhaustion.
-  [[nodiscard]] bool aborted() const { return aborted_; }
 
   /// Reconstruct the partition from the found labeling.
   [[nodiscard]] Partition partition(std::size_t used) const {
@@ -64,12 +60,6 @@ class LabelSearch {
   }
 
   bool assign(std::size_t e, std::size_t used) {
-    ++nodes_;
-    if ((budget_->max_nodes != 0 && nodes_ > budget_->max_nodes) ||
-        ((nodes_ & 0x3ff) == 0 && budget_->exhausted())) {
-      aborted_ = true;
-      return false;
-    }
     if (e == ones_.size()) {
       if (!classes_are_rectangles(used)) return false;
       used_ = used;
@@ -89,25 +79,21 @@ class LabelSearch {
   }
 
   const BinaryMatrix* m_;
-  const Budget* budget_;
   std::vector<std::pair<std::size_t, std::size_t>> ones_;
   std::size_t bound_;
   std::vector<std::size_t> labels_;
   std::size_t used_ = 0;
-  std::uint64_t nodes_ = 0;
-  bool aborted_ = false;
 };
 
 }  // namespace
 
 std::optional<BruteForceResult> brute_force_ebmf(const BinaryMatrix& m,
-                                                 std::size_t max_rank,
-                                                 const Budget& budget) {
+                                                 std::size_t max_rank) {
   if (m.is_zero()) return BruteForceResult{0, {}};
   const std::size_t cap =
       max_rank == 0 ? trivial_upper_bound(m) : max_rank;
   for (std::size_t b = 1; b <= cap; ++b) {
-    LabelSearch search(m, b, budget);
+    LabelSearch search(m, b);
     if (search.run()) {
       BruteForceResult result;
       result.binary_rank = search.used();
@@ -115,7 +101,6 @@ std::optional<BruteForceResult> brute_force_ebmf(const BinaryMatrix& m,
       EBMF_ENSURES(static_cast<bool>(validate_partition(m, result.partition)));
       return result;
     }
-    if (search.aborted()) return std::nullopt;  // budget ran out mid-proof
   }
   return std::nullopt;
 }

@@ -1,10 +1,10 @@
 #pragma once
-/// \file brute_force.h
-/// \brief Exhaustive exact binary rank for tiny matrices.
+/// \file oracle_ebmf.h
+/// \brief Test oracle: exhaustive exact binary rank for tiny matrices.
 ///
-/// Used as ground truth by the test suite (independent of both the SMT
-/// encoder and the SAT solver, so agreement is meaningful) and to verify the
-/// paper's worked examples (Fig. 1b needs 5 rectangles; the Eq. 2 matrix
+/// Ground truth for the test suite (independent of both the SMT encoder and
+/// the SAT solver, so agreement is meaningful) and for the paper's worked
+/// examples (Fig. 1b needs 5 rectangles; the Eq. 2 matrix
 /// needs 3 while its largest fooling set has size 2).
 ///
 /// The search assigns rectangle labels to the 1-cells in row-major order
@@ -14,11 +14,9 @@
 /// class is exactly a full rectangle. Exponential — intended for matrices
 /// with ≲ 20 ones.
 
-#include <cstdint>
 #include <optional>
 
 #include "core/partition.h"
-#include "support/budget.h"
 
 namespace ebmf {
 
@@ -29,12 +27,9 @@ struct BruteForceResult {
 };
 
 /// Compute r_B(M) exactly by exhaustive search.
-/// `max_rank` caps the search (0 = use the trivial upper bound); `budget`
-/// bounds the work (deadline/cancellation plus max_nodes recursion steps).
-/// Returns nullopt if max_rank was set below the true rank or the budget
-/// ran out before the rank was certified.
+/// `max_rank` caps the search (0 = use the trivial upper bound). Returns
+/// nullopt if max_rank was set below the true rank.
 std::optional<BruteForceResult> brute_force_ebmf(const BinaryMatrix& m,
-                                                 std::size_t max_rank = 0,
-                                                 const Budget& budget = {});
+                                                 std::size_t max_rank = 0);
 
 }  // namespace ebmf

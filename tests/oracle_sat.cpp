@@ -1,4 +1,4 @@
-#include "sat/brute.h"
+#include "oracle_sat.h"
 
 #include <algorithm>
 

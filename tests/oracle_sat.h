@@ -1,7 +1,7 @@
 #pragma once
-/// \file brute.h
-/// \brief A tiny reference SAT procedure (DPLL without learning) used by the
-/// test suite to cross-check the CDCL solver on small random formulas.
+/// \file oracle_sat.h
+/// \brief Test oracle: a tiny reference SAT procedure (DPLL without
+/// learning) that cross-checks the CDCL solver on small random formulas.
 ///
 /// Deliberately independent of the Solver class: different data structures,
 /// different search order, no shared code — so agreement between the two is

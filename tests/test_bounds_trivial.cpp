@@ -4,8 +4,8 @@
 #include <gtest/gtest.h>
 
 #include "core/bounds.h"
-#include "core/brute_force.h"
 #include "core/trivial.h"
+#include "oracle_ebmf.h"
 #include "support/rng.h"
 
 namespace ebmf {

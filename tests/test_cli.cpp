@@ -7,6 +7,8 @@
 #include <cstdio>
 #include <fstream>
 #include <sstream>
+#include <string>
+#include <vector>
 
 namespace ebmf::cli {
 namespace {
@@ -66,7 +68,7 @@ TEST(Cli, SolveRenderFlagShowsLabels) {
 TEST(Cli, SolveStrategyFlagSelectsBackend) {
   const auto path = write_temp_matrix("110\n011\n111\n", "eq2s");
   for (const char* strategy :
-       {"sap", "heuristic", "brute", "dlx", "auto", "greedy", "trivial"}) {
+       {"sap", "heuristic", "trivial", "completion", "local", "auto"}) {
     const auto r =
         run_cli("solve", {path, std::string("--strategy=") + strategy});
     EXPECT_EQ(r.code, 0) << strategy;
@@ -77,10 +79,13 @@ TEST(Cli, SolveStrategyFlagSelectsBackend) {
 
 TEST(Cli, SolveUnknownStrategyIsUsageError) {
   const auto path = write_temp_matrix("10\n01\n", "badstrat");
-  const auto r = run_cli("solve", {path, "--strategy=frobnicate"});
-  EXPECT_EQ(r.code, 2);
-  EXPECT_NE(r.err.find("unknown strategy 'frobnicate'"), std::string::npos);
-  EXPECT_NE(r.err.find("sap"), std::string::npos);  // alternatives listed
+  for (const std::string name : {"frobnicate", "brute", "dlx", "greedy"}) {
+    const auto r = run_cli("solve", {path, "--strategy=" + name});
+    EXPECT_EQ(r.code, 2) << name;
+    EXPECT_NE(r.err.find("unknown strategy '" + name + "'"),
+              std::string::npos);
+    EXPECT_NE(r.err.find("sap"), std::string::npos);  // alternatives listed
+  }
 }
 
 TEST(Cli, SolveMalformedBudgetIsUsageError) {
@@ -162,9 +167,13 @@ TEST(Cli, SolveSplitMatchesPlainDepth) {
 TEST(Cli, StrategiesListsRegistry) {
   const auto r = run_cli("strategies", {});
   EXPECT_EQ(r.code, 0);
-  for (const char* name :
-       {"sap", "heuristic", "brute", "dlx", "completion", "auto"})
-    EXPECT_NE(r.out.find(name), std::string::npos) << name;
+  // One "name<TAB>description" line per strategy, sorted by name.
+  std::vector<std::string> names;
+  std::istringstream lines(r.out);
+  for (std::string line; std::getline(lines, line);)
+    names.push_back(line.substr(0, line.find('\t')));
+  EXPECT_EQ(names, (std::vector<std::string>{"auto", "completion", "heuristic",
+                                             "local", "sap", "trivial"}));
 }
 
 TEST(Cli, BoundsIncludesPackingUpperBound) {

@@ -5,8 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include "engine/engine.h"
 #include "smt/sap.h"
 #include "support/rng.h"
+#include "support/stopwatch.h"
 
 namespace ebmf::completion {
 namespace {
@@ -128,6 +130,26 @@ TEST(Completion, SatDisabledStillValid) {
   opt.use_sat = false;
   const auto r = solve_masked(m, opt);
   EXPECT_TRUE(validate_masked(m, r.partition, true));
+}
+
+// The masked formula has Θ(cells²·b) clauses and is built without a
+// deadline check, so a dense pattern must be refused before encoding: the
+// reply is the packing bracket, in time, instead of seconds of encoding
+// (40×40) or an exhausted address space (60×60).
+TEST(Completion, KeepsToItsBudgetOnDensePatterns) {
+  constexpr double kBudget = 1.0;
+  const engine::Engine engine;
+  for (const std::size_t n : {40u, 60u}) {
+    Rng rng(1);
+    const BinaryMatrix m = BinaryMatrix::random(n, n, 0.5, rng);
+    auto request = engine::SolveRequest::dense(m, "completion");
+    const Stopwatch clock;
+    request.budget = Budget::after(kBudget);
+    const auto report = engine.solve(request);
+    EXPECT_LE(clock.seconds(), kBudget * 1.1 + 0.05) << n;
+    EXPECT_TRUE(validate_partition(m, report.partition).ok) << n;
+    EXPECT_GE(report.depth(), report.lower_bound) << n;
+  }
 }
 
 }  // namespace

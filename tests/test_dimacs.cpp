@@ -6,7 +6,7 @@
 
 #include <sstream>
 
-#include "sat/brute.h"
+#include "oracle_sat.h"
 #include "sat/solver.h"
 
 namespace ebmf::sat {

@@ -6,12 +6,11 @@
 
 #include "addressing/schedule.h"
 #include "core/bounds.h"
-#include "core/brute_force.h"
 #include "core/fooling.h"
-#include "core/greedy_rect.h"
 #include "core/preprocess.h"
 #include "core/row_packing.h"
 #include "core/trivial.h"
+#include "oracle_ebmf.h"
 #include "smt/sap.h"
 
 namespace ebmf {
@@ -42,7 +41,6 @@ TEST_P(DegenerateShapes, WholePipelineAgrees) {
   RowPackingOptions opt;
   opt.trials = 10;
   EXPECT_GE(row_packing_ebmf(m, opt).partition.size(), param.expected_depth);
-  EXPECT_GE(greedy_rectangles(m, opt).partition.size(), param.expected_depth);
   // schedule constructible
   const addressing::Schedule schedule(m, r.partition);
   EXPECT_EQ(schedule.depth(), param.expected_depth);
@@ -95,7 +93,7 @@ TEST(Contracts, ScheduleRejectsShapeMismatch) {
 TEST(Contracts, RowPackingRejectsBadOrder) {
   const auto m = BinaryMatrix::parse("11;11");
   EXPECT_THROW((void)row_packing_pass(m, {0, 0}), ContractViolation);
-  EXPECT_THROW((void)greedy_rectangles_pass(m, {0}), ContractViolation);
+  EXPECT_THROW((void)row_packing_pass(m, {0}), ContractViolation);
 }
 
 // ---- cross-shape consistency ---------------------------------------------

@@ -24,15 +24,15 @@ BinaryMatrix fig1b() {
 
 TEST(Registry, BuiltinsArePresent) {
   const auto registry = SolverRegistry::with_builtins();
-  for (const char* name : {"sap", "heuristic", "greedy", "trivial", "brute",
-                           "dlx", "completion", "auto"}) {
+  const auto names = registry.names();
+  EXPECT_EQ(names, (std::vector<std::string>{"auto", "completion", "heuristic",
+                                             "local", "sap", "trivial"}));
+  EXPECT_EQ(names.size(), registry.size());
+  for (const auto& name : names) {
     EXPECT_TRUE(registry.contains(name)) << name;
     ASSERT_NE(registry.find(name), nullptr);
     EXPECT_FALSE(registry.find(name)->description.empty()) << name;
   }
-  const auto names = registry.names();
-  EXPECT_EQ(names.size(), registry.size());
-  EXPECT_TRUE(std::is_sorted(names.begin(), names.end()));
 }
 
 TEST(Registry, UnknownNameThrowsListingAlternatives) {
@@ -73,9 +73,7 @@ TEST(Engine, EveryBuiltinStrategyYieldsValidOptimalOnEq2) {
   // r_B = 3 for the Eq. 2 matrix and every backend can reach it; the engine
   // validates each partition internally (run_checked postcondition).
   const Engine engine;
-  for (const char* name :
-       {"sap", "heuristic", "greedy", "trivial", "brute", "dlx",
-        "completion", "auto"}) {
+  for (const auto& name : SolverRegistry::with_builtins().names()) {
     const auto report = engine.solve(SolveRequest::dense(eq2(), name));
     EXPECT_EQ(report.depth(), 3u) << name;
     EXPECT_TRUE(validate_partition(eq2(), report.partition).ok) << name;
@@ -100,21 +98,12 @@ TEST(Engine, ReportCarriesTimingsAndTelemetry) {
 
 TEST(Engine, ZeroMatrixIsOptimalEverywhere) {
   const Engine engine;
-  for (const char* name : {"sap", "heuristic", "brute", "auto"}) {
+  for (const auto& name : SolverRegistry::with_builtins().names()) {
     const auto report =
         engine.solve(SolveRequest::dense(BinaryMatrix(4, 4), name));
     EXPECT_TRUE(report.proven_optimal()) << name;
     EXPECT_EQ(report.depth(), 0u) << name;
   }
-}
-
-TEST(Auto, SmallInstanceSelectsBrute) {
-  const Engine engine;
-  const auto report = engine.solve(SolveRequest::dense(eq2(), "auto"));
-  ASSERT_NE(report.find_telemetry("auto.selected"), nullptr);
-  EXPECT_EQ(*report.find_telemetry("auto.selected"), "brute");
-  EXPECT_EQ(report.strategy, "brute");
-  EXPECT_TRUE(report.proven_optimal());
 }
 
 TEST(Auto, MidSizeInstanceSelectsSap) {
@@ -157,7 +146,7 @@ TEST(Budget, ExpiredDeadlineStillYieldsValidAnytimePartition) {
   Rng rng(23);
   const auto inst = benchgen::gap_matrix(10, 10, 4, rng);
   const Engine engine;
-  for (const char* name : {"sap", "brute", "auto", "heuristic"}) {
+  for (const auto& name : SolverRegistry::with_builtins().names()) {
     auto request = SolveRequest::dense(inst.matrix, name);
     request.budget = Budget::after(0.0);
     request.trials = 3;
@@ -168,23 +157,26 @@ TEST(Budget, ExpiredDeadlineStillYieldsValidAnytimePartition) {
   }
 }
 
-// The budget contract on a 1000² qLDPC pattern (277,908 ones): each
-// strategy returns within its deadline + 10% + 50 ms, with the Eq. 3 rank
-// as its lower bound. `brute` is left out: it is not yet interruptible
-// inside its exact search.
+// The budget contract on a 1000² qLDPC pattern (277,908 ones): every
+// strategy returns within its deadline + 10% + 50 ms. The lower bound is
+// the Eq. 3 rank (75), except for `completion`, whose don't-care-safe
+// fooling bound reads 77 here.
 TEST(Budget, LargePatternReturnsWithinDeadline) {
   Rng rng(1);
   const BinaryMatrix m = benchgen::qldpc_block_matrix(1000, 1000, 0.5, rng);
   ASSERT_EQ(m.ones_count(), 277908u);
   constexpr double kBudget = 3.0;
   const Engine engine;
-  for (const char* name : {"heuristic", "greedy", "trivial", "sap", "local"}) {
+  for (const auto& name : SolverRegistry::with_builtins().names()) {
     auto request = SolveRequest::dense(m, name);
     const Stopwatch clock;
     request.budget = Budget::after(kBudget);
     const auto report = engine.solve(request);
     EXPECT_LE(clock.seconds(), kBudget * 1.1 + 0.05) << name;
-    EXPECT_EQ(report.lower_bound, 75u) << name;
+    if (name == "completion")
+      EXPECT_GE(report.lower_bound, 75u) << name;
+    else
+      EXPECT_EQ(report.lower_bound, 75u) << name;
     EXPECT_FALSE(report.partition.empty()) << name;
   }
 }

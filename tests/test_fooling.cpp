@@ -7,7 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "benchgen/suites.h"
-#include "core/brute_force.h"
+#include "oracle_ebmf.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
 

@@ -4,12 +4,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/brute_force.h"
 #include "core/bounds.h"
 #include "core/fooling.h"
 #include "ftqc/patterns.h"
 #include "ftqc/tensor.h"
 #include "ftqc/two_level.h"
+#include "oracle_ebmf.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
 

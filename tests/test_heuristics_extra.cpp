@@ -1,78 +1,15 @@
-// Tests for the greedy rectangle-extraction baseline and the vacancy-aware
-// masked row packing.
+// Tests for the vacancy-aware masked row packing.
 
 #include <gtest/gtest.h>
 
 #include "completion/completion_solver.h"
 #include "completion/masked_packing.h"
 #include "core/bounds.h"
-#include "core/brute_force.h"
-#include "core/greedy_rect.h"
+#include "oracle_ebmf.h"
 #include "support/rng.h"
 
 namespace ebmf {
 namespace {
-
-TEST(GreedyRect, ValidOnRandomSweep) {
-  Rng rng(61);
-  for (int t = 0; t < 40; ++t) {
-    const auto m = BinaryMatrix::random(7, 9, 0.1 + 0.02 * t, rng);
-    RowPackingOptions opt;
-    opt.trials = 5;
-    opt.seed = t;
-    const auto r = greedy_rectangles(m, opt);
-    const auto v = validate_partition(m, r.partition);
-    ASSERT_TRUE(v.ok) << v.reason;
-    if (!m.is_zero()) {
-      EXPECT_GE(r.partition.size(), real_rank(m));
-    }
-  }
-}
-
-TEST(GreedyRect, AllOnesIsOneRectangle) {
-  const auto m = BinaryMatrix::parse("111;111");
-  const auto p = greedy_rectangles_pass(m, {0, 1});
-  EXPECT_EQ(p.size(), 1u);
-}
-
-TEST(GreedyRect, DuplicateRowsConsolidated) {
-  const auto m = BinaryMatrix::parse("101;101;101");
-  const auto p = greedy_rectangles_pass(m, {0, 1, 2});
-  EXPECT_EQ(p.size(), 1u);
-  EXPECT_EQ(p[0].rows.count(), 3u);
-}
-
-TEST(GreedyRect, ZeroMatrix) {
-  const BinaryMatrix z(3, 3);
-  EXPECT_TRUE(greedy_rectangles_pass(z, {0, 1, 2}).empty());
-}
-
-TEST(GreedyRect, NeverBeatsOptimumNorExceedsRowCount) {
-  Rng rng(62);
-  for (int t = 0; t < 15; ++t) {
-    const auto m = BinaryMatrix::random(4, 4, 0.5, rng);
-    if (m.is_zero()) continue;
-    const auto brute = brute_force_ebmf(m);
-    ASSERT_TRUE(brute.has_value());
-    RowPackingOptions opt;
-    opt.trials = 20;
-    opt.seed = t;
-    const auto r = greedy_rectangles(m, opt);
-    EXPECT_GE(r.partition.size(), brute->binary_rank);
-    EXPECT_LE(r.partition.size(), distinct_nonzero_rows(m));
-  }
-}
-
-TEST(GreedyRect, DeterministicPerSeed) {
-  Rng rng(63);
-  const auto m = BinaryMatrix::random(8, 8, 0.5, rng);
-  RowPackingOptions opt;
-  opt.trials = 8;
-  opt.seed = 99;
-  const auto a = greedy_rectangles(m, opt);
-  const auto b = greedy_rectangles(m, opt);
-  EXPECT_EQ(a.partition.size(), b.partition.size());
-}
 
 // ---- masked (vacancy-aware) packing --------------------------------------
 

@@ -5,12 +5,11 @@
 
 #include "addressing/schedule.h"
 #include "benchgen/suites.h"
-#include "core/brute_force.h"
 #include "core/fooling.h"
 #include "core/trivial.h"
-#include "dlx/packing_dlx.h"
 #include "ftqc/patterns.h"
 #include "ftqc/two_level.h"
+#include "oracle_ebmf.h"
 #include "smt/sap.h"
 #include "support/rng.h"
 
@@ -65,8 +64,6 @@ TEST_P(SolverAgreement, FourWayConsistency) {
     RowPackingOptions packing;
     packing.trials = 20;
     EXPECT_GE(row_packing_ebmf(m, packing).partition.size(),
-              brute->binary_rank);
-    EXPECT_GE(dlx::row_packing_dlx(m, packing).partition.size(),
               brute->binary_rank);
     EXPECT_GE(trivial_ebmf(m).size(), brute->binary_rank);
   }

@@ -9,7 +9,7 @@
 #include <vector>
 
 #include "core/bounds.h"
-#include "core/brute_force.h"
+#include "oracle_ebmf.h"
 #include "smt/sap.h"
 #include "support/rng.h"
 

@@ -7,8 +7,8 @@
 
 #include "benchgen/generators.h"
 #include "core/bounds.h"
-#include "core/brute_force.h"
 #include "core/trivial.h"
+#include "oracle_ebmf.h"
 #include "support/rng.h"
 
 namespace ebmf {

@@ -8,9 +8,9 @@
 
 #include "benchgen/generators.h"
 #include "benchgen/suites.h"
-#include "core/brute_force.h"
 #include "core/fooling.h"
 #include "engine/engine.h"
+#include "oracle_ebmf.h"
 #include "support/rng.h"
 
 namespace ebmf {

@@ -9,8 +9,8 @@
 #include <chrono>
 #include <thread>
 
+#include "oracle_sat.h"
 #include "sat/arena.h"
-#include "sat/brute.h"
 #include "sat/dimacs.h"
 #include "sat/solver.h"
 #include "support/rng.h"

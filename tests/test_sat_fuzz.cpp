@@ -8,7 +8,7 @@
 
 #include <set>
 
-#include "sat/brute.h"
+#include "oracle_sat.h"
 #include "sat/dimacs.h"
 #include "sat/solver.h"
 #include "support/rng.h"

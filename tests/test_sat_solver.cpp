@@ -5,7 +5,7 @@
 
 #include <gtest/gtest.h>
 
-#include "sat/brute.h"
+#include "oracle_sat.h"
 #include "sat/dimacs.h"
 #include "support/rng.h"
 

@@ -6,9 +6,9 @@
 
 #include <gtest/gtest.h>
 
-#include "core/brute_force.h"
 #include "core/bounds.h"
-#include "sat/brute.h"
+#include "oracle_ebmf.h"
+#include "oracle_sat.h"
 #include "support/rng.h"
 
 namespace ebmf::smt {

@@ -17,10 +17,11 @@ separates wins from losses:
     just past sequential reach, and the margin keeps the portfolio
     from handing hopeless formulas to the race.
 
-Two thresholds are structural, not fitted, and are carried through
-unchanged: the brute-force 1-cell limit (exhaustive search is
-unbeatable under ~16 cells) and the sparse/dense density boundary
-(preprocessing shatters patterns below ~8% occupancy).
+One threshold is structural, not fitted, and is carried through
+unchanged: the sparse/dense density boundary (preprocessing shatters
+patterns below ~8% occupancy). Below the exact cutoff, every pattern
+goes to sap, however small: its rank and fooling certificates close
+the tiny ones before any SAT call.
 
 Usage:
   ./build/bench_table1 --json > fit.jsonl
@@ -31,8 +32,7 @@ import argparse
 import json
 import sys
 
-# Structural constants (documented above; not refitted).
-BRUTE_ONES_LIMIT = 16
+# Structural constant (documented above; not refitted).
 SPARSE_DENSITY = 0.08
 
 # Fitted thresholds never drop below the hand-tuned seed values: a small
@@ -119,9 +119,6 @@ HEADER = '''\
 
 namespace ebmf::engine {{
 
-/// 1-cell count at or below which exhaustive search wins outright.
-inline constexpr std::size_t kFitBruteOnesLimit = {brute};
-
 /// Density (ones/(m·n)) at or below which preprocessing reliably shatters
 /// the pattern into SMT-feasible components.
 inline constexpr double kFitSparseDensity = {sparse_density};
@@ -166,7 +163,6 @@ def main():
 
     text = HEADER.format(
         provenance=provenance,
-        brute=BRUTE_ONES_LIMIT,
         sparse_density=SPARSE_DENSITY,
         exact_dense=cutoffs["dense"],
         race_dense=int(cutoffs["dense"] * RACE_MARGIN),
