@@ -57,8 +57,8 @@ GapInstance gap_matrix(std::size_t m, std::size_t n, std::size_t k, Rng& rng);
 /// entry), and half the library consists of split pairs — one base pattern
 /// addressed across two pulses — which drives rank_ℝ below r_B exactly as
 /// in the family-3 gap construction, but at 10^2–10^3 rows. This is the
-/// anytime tier's home regime: the rank certificate goes slack and the
-/// pattern is far past the SMT cutoffs, so exact SAP cannot certify.
+/// anytime regime: the rank certificate goes slack and the components are
+/// far past the SMT cell guard, so only the fooling set can tighten it.
 BinaryMatrix qldpc_block_matrix(std::size_t blocks, std::size_t width,
                                 double occupancy, Rng& rng);
 

@@ -1461,10 +1461,10 @@ std::string usage() {
          "  convert <in> <out>  rewrite between dense/sparse/PBM formats\n"
          "  encode <file>       emit the SMT decision problem as DIMACS CNF\n"
          "\n"
-         "solve strategies: auto (fitted portfolio), sap, local (anytime), "
-         "heuristic,\n"
-         "trivial, completion; run a command without arguments for its "
-         "flags\n";
+         "solve strategies: auto (fitted portfolio), sap (exact, anytime "
+         "bracket),\n"
+         "heuristic, trivial, completion; run a command without arguments "
+         "for its flags\n";
 }
 
 int run_command(const std::string& command,

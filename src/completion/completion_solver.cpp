@@ -8,6 +8,9 @@
 
 namespace ebmf::completion {
 
+namespace {
+
+/// CompletionResult::lower_bound: greedy over the 1-cells in row order.
 std::size_t masked_fooling_lower_bound(const MaskedMatrix& m) {
   std::vector<std::pair<std::size_t, std::size_t>> chosen;
   for (std::size_t i = 0; i < m.rows(); ++i)
@@ -22,8 +25,6 @@ std::size_t masked_fooling_lower_bound(const MaskedMatrix& m) {
     }
   return chosen.size();
 }
-
-namespace {
 
 /// Estimated seconds per encoding work unit of MaskedFormula. It emits
 /// Θ(cells²·bound) clauses (one or two per label for every cross pair of
@@ -184,8 +185,8 @@ CompletionResult solve_masked(const MaskedMatrix& m,
     return result;
   }
 
-  const std::size_t lower = std::max<std::size_t>(
-      masked_fooling_lower_bound(m), 1);
+  result.lower_bound = masked_fooling_lower_bound(m);
+  const std::size_t lower = std::max<std::size_t>(result.lower_bound, 1);
   if (result.partition.size() == lower || !options.use_sat) {
     result.proven_optimal = result.partition.size() == lower;
     result.seconds = timer.seconds();

@@ -36,16 +36,15 @@ struct CompletionOptions {
   bool use_sat = true;
 };
 
-/// Greedy fooling-set-style lower bound valid under don't-cares: 1-cells
-/// that pairwise cannot share a rectangle because a crossing cell is a hard
-/// Zero. Result ≤ r_B under either semantics.
-std::size_t masked_fooling_lower_bound(const MaskedMatrix& m);
-
 /// Result of solve_masked.
 struct CompletionResult {
   Partition partition;       ///< Valid under the chosen semantics.
   bool proven_optimal = false;
   std::size_t heuristic_size = 0;  ///< Upper bound from DC-as-0 packing.
+  /// Greedy fooling-set-style lower bound valid under don't-cares: 1-cells
+  /// that pairwise cannot share a rectangle because a crossing cell is a
+  /// hard Zero. Certified ≤ r_B under either semantics; 0 iff no 1-cells.
+  std::size_t lower_bound = 0;
   double seconds = 0.0;
 };
 

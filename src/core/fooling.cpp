@@ -18,7 +18,9 @@ bool fooling_compatible(const BinaryMatrix& m,
 
 using Word = std::uint64_t;
 
-/// Search nodes between two polls of the deadline and cancellation flags.
+/// Search nodes between two polls of the deadline and cancellation flags
+/// on a one-word graph. A node's work grows with the word count, so wider
+/// graphs poll proportionally more often, down to every node.
 constexpr std::uint64_t kPollInterval = 256;
 
 /// One packed row of `words` words per 1-cell (row-major `cells`), with bit
@@ -60,6 +62,8 @@ struct CliqueSearch {
   std::vector<std::size_t> clique{}, best{};
   std::uint64_t nodes = 0;
   bool stopped = false;
+  std::uint64_t poll_every = std::max<std::uint64_t>(
+      kPollInterval / std::max<std::size_t>(words, 1), 1);
 
   const Word* row(std::size_t v) const { return adj.data() + v * words; }
   std::size_t limit() const { return std::max(best.size(), floor); }
@@ -80,7 +84,7 @@ struct CliqueSearch {
   void expand(std::vector<Word>& cand) {
     ++nodes;
     stopped = (budget.max_nodes != 0 && nodes > budget.max_nodes) ||
-              (nodes % kPollInterval == 0 && budget.exhausted());
+              (nodes % poll_every == 0 && budget.exhausted());
     if (stopped) return;
     // Colour class k collects, in index order, candidates not adjacent to
     // an earlier member. Keep (vertex, k) only where depth + k can win.

@@ -15,33 +15,23 @@ namespace ebmf::engine {
 
 namespace {
 
-/// Weakest status wins when merging component reports: a single piece
-/// without a bound search (Heuristic) leaves the whole answer heuristic; a
-/// single budget-cut piece (Bounded) leaves it bounded.
+/// Weakest status wins when merging component reports: a single budget-cut
+/// piece (Bounded) leaves the whole answer budget-dependent; otherwise a
+/// single piece without a bound search (Heuristic) leaves it heuristic.
 Status merge_status(Status a, Status b) {
+  if (a == Status::Bounded || b == Status::Bounded) return Status::Bounded;
   if (a == Status::Heuristic || b == Status::Heuristic)
     return Status::Heuristic;
-  if (a == Status::Bounded || b == Status::Bounded) return Status::Bounded;
   return Status::Optimal;
 }
 
-int certificate_strength(Status status) {
-  switch (status) {
-    case Status::Optimal:
-      return 2;
-    case Status::Bounded:
-      return 1;
-    case Status::Heuristic:
-      return 0;
-  }
-  return 0;
-}
-
 /// True when `a` is a strictly better answer than `b` for the same
-/// pattern: stronger certificate, then smaller depth, then tighter bound.
+/// pattern: an optimality certificate first, then smaller depth, then
+/// tighter bound. Bounded and Heuristic answers are both brackets, so they
+/// compare by the bracket alone.
 bool strictly_better(const SolveReport& a, const SolveReport& b) {
-  if (certificate_strength(a.status) != certificate_strength(b.status))
-    return certificate_strength(a.status) > certificate_strength(b.status);
+  const bool a_optimal = a.status == Status::Optimal;
+  if (a_optimal != (b.status == Status::Optimal)) return a_optimal;
   if (a.depth() != b.depth()) return a.depth() < b.depth();
   return a.lower_bound > b.lower_bound;
 }
@@ -213,11 +203,11 @@ SolveReport Engine::run_cached(const SolverRegistry::Entry& entry,
     trace->record("engine.cache_lookup", obs::new_span_id(), span_parent,
                   span_start, obs::steady_micros());
   }
-  // A Bounded entry is a budget-cut exact search; when this request can
-  // afford meaningfully more time than the stored attempt spent, re-solve
-  // and let the upgrade-only insert keep the better certificate. Optimal
-  // entries are final, and Heuristic entries would return the same answer
-  // regardless of budget (no bound search is attempted), so both serve.
+  // A Bounded entry is a budget-cut search; when this request can afford
+  // meaningfully more time than the stored attempt spent, re-solve and let
+  // the upgrade-only insert keep the better answer. Optimal entries are
+  // final, and Heuristic entries would return the same answer regardless
+  // of budget (the deadline shaped no bound), so both serve.
   const bool retry_for_upgrade =
       cached && cached->report.status == Status::Bounded &&
       !request.budget.exhausted() &&

@@ -26,8 +26,9 @@
 ///
 /// A SolveReport unifies every backend's answer:
 ///  * `status` — Optimal (certified), Bounded (search cut by budget; the
-///    [lower_bound, upper_bound] bracket stands), Heuristic (no bound
-///    search was attempted),
+///    [lower_bound, upper_bound] bracket stands), Heuristic (no SAT
+///    search was attempted and the deadline shaped no bound, so the
+///    answer is the same at any budget),
 ///  * `lower_bound` / `upper_bound` on r_B, with `partition` a valid
 ///    witness of the upper bound (the engine validates it),
 ///  * per-phase `timings` (e.g. "rank", "heuristic", "smt") and
@@ -85,7 +86,8 @@ namespace ebmf::engine {
 enum class Status {
   Optimal,    ///< upper_bound == r_B, certified.
   Bounded,    ///< Bound search cut by budget; lower ≤ r_B ≤ upper stands.
-  Heuristic,  ///< No bound search attempted; same bracketing as above.
+  Heuristic,  ///< No SAT search, no bound cut by the deadline; same
+              ///< bracketing as above, the same at any budget.
 };
 
 /// Lower-case name of a status ("optimal" / "bounded" / "heuristic").
@@ -171,10 +173,9 @@ struct SolveReport {
   Status status = Status::Heuristic;
   std::size_t lower_bound = 0;  ///< Proven lower bound on r_B (0 = none).
   std::size_t upper_bound = 0;  ///< |partition| (filled by the engine).
-  /// Depth of the best incumbent the backend produced — for the anytime
-  /// `local` strategy the last validated improving cover, for one-shot
-  /// backends simply the final depth. The engine defaults it to
-  /// upper_bound when a strategy leaves it unset.
+  /// Depth of the best incumbent the backend produced, i.e. the final
+  /// depth. The engine defaults it to upper_bound when a strategy leaves it
+  /// unset.
   std::size_t incumbent_depth = 0;
   /// Certified optimality gap: upper_bound − lower_bound, clamped at 0.
   /// Invariant (engine-finalized): gap == 0 iff status == Optimal for any
@@ -275,8 +276,8 @@ class SolverRegistry {
   [[nodiscard]] std::size_t size() const noexcept { return entries_.size(); }
 
   /// A registry pre-loaded with the built-in strategies: "sap",
-  /// "heuristic", "trivial", "completion", "local", and the portfolio
-  /// dispatcher "auto".
+  /// "heuristic", "trivial", "completion", and the portfolio dispatcher
+  /// "auto".
   static SolverRegistry with_builtins();
 
  private:

@@ -20,15 +20,12 @@ namespace ebmf::engine {
 /// the pattern into SMT-feasible components.
 inline constexpr double kFitSparseDensity = 0.08;
 
-/// Dense exact tier: sequential SAP up to this many 1-cells.
+/// Dense exact tier: sequential SAP up to this many 1-cells; past it
+/// SAP with an auto-width bound race.
 inline constexpr std::size_t kFitExactDenseOnes = 300;
-/// Dense bound-race tier: SAP with an auto-width bound race up to here;
-/// past it the anytime local search takes over.
-inline constexpr std::size_t kFitRaceDenseOnes = 450;
 
-/// Sparse exact tier: sequential SAP up to this many 1-cells.
+/// Sparse exact tier: sequential SAP up to this many 1-cells; past it
+/// SAP with an auto-width bound race.
 inline constexpr std::size_t kFitExactSparseOnes = 30000;
-/// Sparse bound-race tier ceiling; past it the anytime local search.
-inline constexpr std::size_t kFitRaceSparseOnes = 45000;
 
 }  // namespace ebmf::engine

@@ -7,7 +7,6 @@
 // don't-cares.
 
 #include <algorithm>
-#include <cstdio>
 #include <utility>
 
 #include "completion/completion_solver.h"
@@ -16,8 +15,6 @@
 #include "core/trivial.h"
 #include "engine/engine.h"
 #include "engine/portfolio_cutoffs.h"
-#include "local/local_search.h"
-#include "local/probe_bounds.h"
 #include "smt/sap.h"
 #include "support/stopwatch.h"
 
@@ -30,11 +27,6 @@ namespace {
 
 /// Per-component formula guard "auto" applies when the caller set none.
 constexpr std::size_t kAutoSmtCellGuard = 200;
-/// 1-count ceiling for the partial-SAP refinement the `local` strategy
-/// appends when budget remains and the gap is open.
-constexpr std::size_t kLocalSapRefineOnes = 300;
-/// Most incumbents spelled out in the local.trajectory telemetry string.
-constexpr std::size_t kLocalTrajectoryCap = 32;
 
 const char* to_string(sat::SolveResult r) noexcept {
   switch (r) {
@@ -195,7 +187,7 @@ SolveReport solve_completion(const SolveRequest& request) {
   SolveReport report;
   report.partition = result.partition;
   report.add_timing("completion", result.seconds);
-  report.lower_bound = completion::masked_fooling_lower_bound(masked);
+  report.lower_bound = result.lower_bound;
   if (result.proven_optimal) {
     report.status = Status::Optimal;
     // The UNSAT proof certifies the depth even when the fooling bound lags.
@@ -216,128 +208,6 @@ SolveReport solve_completion(const SolveRequest& request) {
   return report;
 }
 
-/// The anytime tier: probe cheap certified lower bounds, run the local
-/// search under the shared budget, then (small instances only) let a
-/// partial SAP pass try to close the remaining gap.
-SolveReport solve_local(const SolveRequest& request) {
-  SolveReport report;
-  const BinaryMatrix& m = request.pattern();
-  if (m.is_zero()) {
-    report.status = Status::Optimal;
-    return report;
-  }
-
-  Stopwatch phase;
-  const local::BoundProbes probes =
-      local::probe_lower_bounds(m, request.budget, request.seed);
-  report.add_timing("bounds", phase.seconds());
-  report.lower_bound = probes.best;
-  report.add_telemetry("local.bound.source", probes.source);
-  report.add_telemetry("local.bound.rank",
-                       static_cast<std::uint64_t>(probes.rank));
-  report.add_telemetry("local.bound.counting",
-                       static_cast<std::uint64_t>(probes.counting));
-  if (probes.fooling != 0)
-    report.add_telemetry("local.bound.fooling",
-                         static_cast<std::uint64_t>(probes.fooling));
-
-  local::LocalSearchOptions options;
-  options.seed = request.seed;
-  options.budget = request.budget;
-  options.stop_at = std::max(request.stop_at, report.lower_bound);
-  options.max_moves = request.budget.max_nodes;  // node cap = move cap here
-  options.seed_trials =
-      std::clamp<std::size_t>(request.trials, std::size_t{1}, std::size_t{8});
-  phase.restart();
-  // Live progress: one frame when the bounds are known ("seed") and one per
-  // improving incumbent ("search"). No-ops when nobody attached a sink.
-  const std::uint64_t lower = report.lower_bound;
-  {
-    obs::ProgressFrame frame;
-    frame.lower_bound = lower;
-    frame.phase = "seed";
-    request.budget.publish_progress(std::move(frame));
-  }
-  const auto on_incumbent = [&](const Partition& incumbent, double seconds) {
-    obs::ProgressFrame frame;
-    frame.seconds = seconds;
-    frame.incumbent_depth = incumbent.size();
-    frame.lower_bound = lower;
-    frame.gap = incumbent.size() > lower ? incumbent.size() - lower : 0;
-    frame.phase = "search";
-    request.budget.publish_progress(std::move(frame));
-  };
-  local::LocalSearchResult result =
-      local::local_search_ebmf(m, options, on_incumbent);
-  report.add_timing("search", phase.seconds());
-  report.partition = std::move(result.partition);
-  report.incumbent_depth = report.partition.size();
-  {
-    // Closing frame: watchers see the search retire with its final bounds
-    // even when the last incumbent landed long before the budget ran out.
-    obs::ProgressFrame frame;
-    frame.seconds = result.seconds;
-    frame.incumbent_depth = report.incumbent_depth;
-    frame.lower_bound = lower;
-    frame.gap = report.incumbent_depth > lower
-                    ? report.incumbent_depth - lower
-                    : 0;
-    frame.phase = "final";
-    request.budget.publish_progress(std::move(frame));
-  }
-
-  const local::LocalSearchStats& stats = result.stats;
-  report.add_telemetry("local.moves", stats.moves);
-  report.add_telemetry("local.accepted", stats.accepted);
-  report.add_telemetry("local.rejected", stats.rejected);
-  report.add_telemetry("local.merges", stats.merges);
-  report.add_telemetry("local.relocations", stats.relocations);
-  report.add_telemetry("local.absorptions", stats.absorptions);
-  report.add_telemetry("local.splits", stats.splits);
-  report.add_telemetry("local.restarts", stats.restarts);
-  report.add_telemetry("local.seed_depth",
-                       static_cast<std::uint64_t>(stats.seed_depth));
-  report.add_telemetry("local.incumbents",
-                       static_cast<std::uint64_t>(stats.incumbents.size()));
-  // The incumbent trajectory "depth@seconds;…" — every improving cover
-  // with its wall-clock timestamp (capped; the count above is exact).
-  std::string trajectory;
-  for (std::size_t i = 0;
-       i < stats.incumbents.size() && i < kLocalTrajectoryCap; ++i) {
-    char entry[48];
-    std::snprintf(entry, sizeof entry, "%s%zu@%.3f", i == 0 ? "" : ";",
-                  stats.incumbents[i].depth, stats.incumbents[i].seconds);
-    trajectory += entry;
-  }
-  report.add_telemetry("local.trajectory", trajectory);
-  if (result.reached_stop) report.add_telemetry("local.reached_stop", "1");
-
-  // Partial-SAP refinement: on small instances with budget to spare, an
-  // exact pass can close (or narrow) the gap — its UNSAT proofs certify.
-  if (!report.partition.empty() &&
-      report.partition.size() > report.lower_bound &&
-      m.ones_count() <= kLocalSapRefineOnes && !request.budget.exhausted()) {
-    SolveRequest refine = request;
-    refine.stop_at = 0;
-    if (refine.smt_cell_limit == 0) refine.smt_cell_limit = kAutoSmtCellGuard;
-    phase.restart();
-    SolveReport exact = solve_sap(refine);
-    report.add_timing("refine", phase.seconds());
-    report.add_telemetry("local.refine", to_string(exact.status));
-    report.lower_bound = std::max(report.lower_bound, exact.lower_bound);
-    if (!exact.partition.empty() &&
-        exact.partition.size() < report.partition.size())
-      report.partition = std::move(exact.partition);
-  }
-
-  // Probes ran, so this is a (budget-cut) bound search: Bounded unless the
-  // bracket closed — the engine's finalize promotes that case to Optimal.
-  report.status = report.partition.size() == report.lower_bound
-                      ? Status::Optimal
-                      : Status::Bounded;
-  return report;
-}
-
 SolveReport solve_auto(const SolveRequest& request) {
   const BinaryMatrix& pattern = request.pattern();
   const std::size_t ones = pattern.ones_count();
@@ -345,48 +215,28 @@ SolveReport solve_auto(const SolveRequest& request) {
   const double density =
       cells == 0 ? 0.0
                  : static_cast<double>(ones) / static_cast<double>(cells);
-  // Fitted three-tier routing (portfolio_cutoffs.h): exact SAP while the
-  // instance is small enough to certify, a multi-probe bound race in the
-  // mid band where SMT still answers but the sequential loop wastes the
-  // budget, and the anytime local search beyond.
+  // Fitted two-tier routing (portfolio_cutoffs.h): sequential exact SAP
+  // while the instance is small enough to certify, and past that a
+  // multi-probe bound race, where the sequential loop wastes the budget.
+  // Both keep SMT to the components under the cell guard; the rest get
+  // SAP's certified bracket.
   const bool sparse = density <= kFitSparseDensity;
   const std::size_t exact_limit =
       sparse ? kFitExactSparseOnes : kFitExactDenseOnes;
-  const std::size_t race_limit =
-      sparse ? kFitRaceSparseOnes : kFitRaceDenseOnes;
-  bool race = false;
-  std::string selected;
-  if (request.has_dont_cares()) {
-    selected = "completion";
-  } else if (ones <= exact_limit) {
-    selected = "sap";
-  } else if (ones <= race_limit) {
-    selected = "sap";
-    race = true;
-  } else {
-    selected = "local";
-  }
+  const bool race = !request.has_dont_cares() && ones > exact_limit;
 
   SolveRequest sub = request;
-  sub.strategy = selected;
-  if (selected == "sap" && sub.smt_cell_limit == 0)
+  sub.strategy = request.has_dont_cares() ? "completion" : "sap";
+  if (sub.strategy == "sap" && sub.smt_cell_limit == 0)
     sub.smt_cell_limit = kAutoSmtCellGuard;
   if (race && sub.probes == 1) sub.probes = 0;  // auto-width bound race
 
-  SolveReport report;
-  if (selected == "completion") {
-    report = solve_completion(sub);
-  } else if (selected == "sap") {
-    report = solve_sap(sub);
-  } else {
-    report = solve_local(sub);
-  }
-  report.strategy = selected;
-  report.add_telemetry("auto.selected", selected);
+  SolveReport report =
+      sub.strategy == "sap" ? solve_sap(sub) : solve_completion(sub);
+  report.strategy = sub.strategy;
+  report.add_telemetry("auto.selected", sub.strategy);
   report.add_telemetry("auto.density", density);
-  report.add_telemetry("auto.tier", selected == "local" ? "anytime"
-                                    : race              ? "race"
-                                                        : "exact");
+  report.add_telemetry("auto.tier", race ? "race" : "exact");
   return report;
 }
 
@@ -405,9 +255,6 @@ SolverRegistry SolverRegistry::with_builtins() {
   registry.add("completion", "don't-care-aware SAT minimization (masked "
                              "patterns)",
                solve_completion);
-  registry.add("local", "anytime local search with certified gap bounds "
-                        "(large instances)",
-               solve_local);
   registry.add("auto", "portfolio: backend picked by fitted size/density "
                        "cutoffs and don't-cares",
                solve_auto);

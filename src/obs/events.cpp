@@ -29,10 +29,6 @@ const char* event_name(EventCode code) noexcept {
       return "smt.wave_launch";
     case EventCode::SmtWaveRetire:
       return "smt.wave_retire";
-    case EventCode::LocalIncumbent:
-      return "local.incumbent";
-    case EventCode::LocalPerturb:
-      return "local.perturb";
     case EventCode::CacheEvict:
       return "cache.evict";
     case EventCode::PoolReconnect:

@@ -6,10 +6,10 @@
 ///
 /// PR 7's spans and histograms answer "how slow"; the flight recorder
 /// answers "why": the last few hundred SAT restarts, learnt-DB reductions,
-/// arena GCs, bound-race wave launches, local-search incumbents, cache
-/// evictions, and pool reconnects that led up to a slow or budget-cut
-/// reply. The record stream is snapshotted into slow-request log lines,
-/// spliced onto budget-exhausted replies, and queryable on demand via the
+/// arena GCs, bound-race wave launches, cache evictions, and pool
+/// reconnects that led up to a slow or budget-cut reply. The record stream
+/// is snapshotted into slow-request log lines, spliced onto
+/// budget-exhausted replies, and queryable on demand via the
 /// `{"op":"events"}` wire verb.
 ///
 /// Design constraints, in order:
@@ -50,8 +50,6 @@ enum class EventCode : std::uint16_t {
   SatArenaGc = 4,    ///< a = arena bytes before, b = bytes after.
   SmtWaveLaunch = 5, ///< a = wave ordinal, b = smallest bound probed.
   SmtWaveRetire = 6, ///< a = wave ordinal, b = best depth after the wave.
-  LocalIncumbent = 7,///< a = incumbent depth, b = move ordinal.
-  LocalPerturb = 8,  ///< a = depth after perturbation, b = stall count.
   CacheEvict = 9,    ///< a = bytes freed, b = entries remaining.
   PoolReconnect = 10,///< a = endpoint hash, b = failures so far.
 };

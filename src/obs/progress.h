@@ -6,11 +6,12 @@
 ///
 /// The sink travels inside `Budget` (support/budget.h), so every backend
 /// that already honours the shared budget can publish without new plumbing:
-/// the anytime `local` strategy publishes on every improving incumbent, the
-/// SAP bound race on every wave. The server registers the sink of each
-/// in-flight request under its wire id; `{"op":"watch","id":N}` runs a
-/// stream thread that waits on the sink and sends one JSONL frame per
-/// publish until the solve finishes.
+/// SAP (smt/sap.h) publishes the whole pattern's certified bracket once
+/// every component is bracketed, again whenever a SAT or UNSAT answer (or a
+/// retired bound-race wave) narrows it, and once at the end. The server
+/// registers the sink of each in-flight request under its wire id;
+/// `{"op":"watch","id":N}` runs a stream thread that waits on the sink and
+/// sends one JSONL frame per publish until the solve finishes.
 ///
 /// Publishing never blocks the solver on a watcher: it only stores the
 /// frame and wakes the waiters; the stream threads do the socket writes.
@@ -31,7 +32,7 @@ struct ProgressFrame {
   std::uint64_t gap = 0;          ///< incumbent_depth - lower_bound (0 floor).
   std::uint64_t conflicts = 0;    ///< SAT conflicts so far (0 when n/a).
   std::uint64_t wave = 0;         ///< Bound-race wave ordinal (0 when n/a).
-  std::string phase;              ///< "seed", "search", "wave", ...
+  std::string phase;              ///< "seed", "search", "wave", "final".
 };
 
 /// Render one frame as a JSON object (the watch stream's line body).

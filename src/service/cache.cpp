@@ -40,22 +40,14 @@ std::size_t entry_bytes(const BinaryMatrix& pattern,
 }
 
 /// True when `fresh` is a strictly better answer than `stored` for the same
-/// canonical pattern: stronger certificate first, then smaller depth.
+/// canonical pattern: an optimality certificate first, then smaller depth,
+/// then tighter bound. Bounded and Heuristic answers are both brackets, so
+/// they compare by the bracket alone.
 bool improves(const engine::SolveReport& fresh,
               const engine::SolveReport& stored) {
-  auto strength = [](engine::Status s) {
-    switch (s) {
-      case engine::Status::Optimal:
-        return 2;
-      case engine::Status::Bounded:
-        return 1;
-      case engine::Status::Heuristic:
-        return 0;
-    }
-    return 0;
-  };
-  if (strength(fresh.status) != strength(stored.status))
-    return strength(fresh.status) > strength(stored.status);
+  const bool fresh_optimal = fresh.status == engine::Status::Optimal;
+  if (fresh_optimal != (stored.status == engine::Status::Optimal))
+    return fresh_optimal;
   if (fresh.depth() != stored.depth()) return fresh.depth() < stored.depth();
   return fresh.lower_bound > stored.lower_bound;  // tighter bracket
 }

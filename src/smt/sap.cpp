@@ -41,8 +41,11 @@ constexpr std::size_t kMaxProbes = 64;
 /// Θ(cells²·bound) clauses (Eq. 4 per cross pair, per label or bit), and
 /// the constructor cannot be interrupted once started — so a deadline-
 /// bounded solve must refuse formulas it cannot even build in time.
-/// Calibration: 27k cells at bound 31 takes ≈ 8 s to encode.
-constexpr double kEncodeSecondsPerUnit = 4e-10;
+/// Calibration (one-hot, the default; 4-vCPU Xeon, g++ 12.2, Release):
+/// 454 cells at bound 29 take 1.0 s (1.7e-7 s per unit), 760 at 23 take
+/// 2.5 s (1.9e-7) and 782 at 39 take 5.1 s (2.1e-7). The binary encoder
+/// builds 2–3× faster.
+constexpr double kEncodeSecondsPerUnit = 2e-7;
 
 /// Refuse the SMT phase when building the first formula would by itself
 /// consume most of the remaining deadline (Budget::affords).
@@ -56,8 +59,68 @@ bool smt_encode_affordable(std::size_t cells, std::size_t bound,
 /// Branch-and-bound nodes the fooling-set search may spend before the SAT
 /// phase: a count, not a time slice, so the certificate and the SAT work
 /// after it never depend on the host. Every Table 1 instance that gets this
-/// far settles in under 64 nodes.
+/// far settles in under 64 nodes. A node's work grows with the graph's
+/// width in words, so graphs wider than 64 words (4,096 cells) get
+/// proportionally fewer nodes (fooling_nodes).
 constexpr std::uint64_t kFoolingNodes = 4096;
+
+/// Ceiling on the fooling search's compatibility graph, one packed row of
+/// ⌈cells/64⌉ words per 1-cell (about cells²/8 bytes). 256 MiB admits
+/// 46,336 cells; the component of a 1000² qldpc block pattern at occupancy
+/// 0.5 (seed 1) has 37,390.
+constexpr std::size_t kFoolingGraphBytes = std::size_t{1} << 28;
+
+/// Estimated seconds per pair of 1-cells to build that graph and colour it
+/// once, the part of the search that polls no deadline. Calibration: the
+/// 37,390 cells above take 0.36 s (4-vCPU Xeon, g++ 12.2, Release).
+constexpr double kFoolingSecondsPerPair = 2.6e-10;
+
+/// Process-wide ceiling on the graphs of the fooling searches running at
+/// once, four at the per-search ceiling: a server solves one request per
+/// worker, and the graphs must not grow with the worker count.
+constexpr std::size_t kFoolingGraphBytesInFlight = 4 * kFoolingGraphBytes;
+
+std::atomic<std::size_t> fooling_graph_bytes_in_flight{0};
+
+/// A claim of `bytes` on kFoolingGraphBytesInFlight, released on
+/// destruction; `held` is false (and nothing is claimed) when it does not
+/// fit beside the searches already running.
+struct GraphClaim {
+  std::size_t bytes;
+  bool held;
+
+  explicit GraphClaim(std::size_t claimed)
+      : bytes(claimed),
+        held(fooling_graph_bytes_in_flight.fetch_add(claimed) + claimed <=
+             kFoolingGraphBytesInFlight) {
+    if (!held) fooling_graph_bytes_in_flight.fetch_sub(bytes);
+  }
+  ~GraphClaim() {
+    if (held) fooling_graph_bytes_in_flight.fetch_sub(bytes);
+  }
+  GraphClaim(const GraphClaim&) = delete;
+  GraphClaim& operator=(const GraphClaim&) = delete;
+};
+
+/// Bytes of the fooling search's graph on `cells` 1-cells.
+std::size_t fooling_graph_bytes(std::size_t cells) {
+  return cells * ((cells + 63) / 64) * sizeof(std::uint64_t);
+}
+
+/// True when building that graph fits the deadline (Budget::affords).
+bool fooling_affordable(std::size_t cells, const Budget& budget) {
+  const auto pairs = static_cast<double>(cells) * static_cast<double>(cells);
+  return budget.affords(kFoolingSecondsPerPair * pairs);
+}
+
+/// The search's node allowance: kFoolingNodes up to 64 words, then scaled
+/// down by the width, so nodes × words stays under 4096 × 64. The 1000²
+/// component above (585 words) gets 448 nodes and certifies the same 100
+/// in 0.32 s as 4096 nodes do in 0.42 s.
+std::uint64_t fooling_nodes(std::size_t cells) {
+  const std::uint64_t words = std::max<std::uint64_t>((cells + 63) / 64, 64);
+  return kFoolingNodes * 64 / words;
+}
 
 /// Race width: 0 means "hardware threads"; always clamped to kMaxProbes.
 std::size_t resolve_probes(std::size_t requested) {
@@ -68,11 +131,37 @@ std::size_t resolve_probes(std::size_t requested) {
   return std::min(requested, kMaxProbes);
 }
 
+/// Live progress (obs/progress.h) over the whole pattern: the bracket
+/// summed over every component, republished each time one component's SAT
+/// or UNSAT answer narrows its own. r_B is additive over components, so a
+/// frame's gap is the pattern's and never widens. No-op without a sink.
+struct Progress {
+  const Budget& budget;
+  Stopwatch clock{};
+  std::size_t upper = 0;  ///< Sum of the components' partition sizes.
+  std::size_t lower = 0;  ///< Sum of their certified lower bounds.
+  std::uint64_t conflicts = 0;  ///< Of the components already searched.
+
+  void publish(const char* phase, std::uint64_t more_conflicts = 0,
+               std::uint64_t wave = 0) const {
+    if (!budget.progress) return;
+    obs::ProgressFrame frame;
+    frame.seconds = clock.seconds();
+    frame.incumbent_depth = upper;
+    frame.lower_bound = lower;
+    frame.gap = upper > lower ? upper - lower : 0;
+    frame.conflicts = conflicts + more_conflicts;
+    frame.wave = wave;
+    frame.phase = phase;
+    budget.publish_progress(std::move(frame));
+  }
+};
+
 /// The paper's sequential decreasing-b loop (Algorithm 1, lines 2-10),
 /// stopping at the certified lower bound.
 /// Preconditions: partition non-optimal, budget not exhausted.
 void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
-                          SapResult& result) {
+                          SapResult& result, Progress& progress) {
   Stopwatch phase;
   std::size_t b = result.partition.size() - 1;
   EBMF_ASSERT(b >= 1);  // size==rank handled by caller; rank >= 1
@@ -90,6 +179,8 @@ void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
       Partition p = formula.extract_partition();
       EBMF_ENSURES(p.size() <= b);
       EBMF_ENSURES(static_cast<bool>(validate_partition(m, p)));
+      progress.upper -= result.partition.size() - p.size();
+      progress.publish("search", formula.solver().stats().conflicts);
       result.partition = std::move(p);
       // The extracted partition can use fewer than b rectangles; continue
       // below its size, not just below b.
@@ -103,6 +194,8 @@ void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
       // No partition with <= b rectangles: the current one (size b+1 or the
       // heuristic's) is optimal.
       result.status = SapStatus::Optimal;
+      progress.lower += b + 1 - result.certified_lower;
+      progress.publish("search", formula.solver().stats().conflicts);
       result.certified_lower = b + 1;
       break;
     } else {
@@ -138,7 +231,8 @@ struct Probe {
 /// outcomes in bound order, never finish order, so the resulting bracket
 /// (and, given enough budget, the final depth/status) is deterministic.
 void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
-                    std::size_t probes, SapResult& result) {
+                    std::size_t probes, SapResult& result,
+                    Progress& progress) {
   Stopwatch phase;
   std::size_t hi = result.partition.size();  // best certified upper bound
   std::size_t cert_lo = result.certified_lower;  // best certified lower bound
@@ -149,6 +243,7 @@ void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
   result.probes_used = probes;
 
   while (hi > cert_lo && !options.budget.exhausted()) {
+    const std::size_t wave_hi = hi, wave_lo = cert_lo;
     const std::size_t width = std::min(probes, hi - cert_lo);
     obs::emit_event(obs::EventCode::SmtWaveLaunch, result.probe_waves + 1,
                     hi - width);
@@ -205,7 +300,7 @@ void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
     // Deterministic merge: outcomes are read highest bound first.
     ++result.probe_waves;
     result.probe_calls += width;
-    bool progress = false;
+    bool moved = false;
     Probe* winner = nullptr;
     for (Probe& probe : wave) {
       result.smt_calls.push_back(
@@ -219,11 +314,11 @@ void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
           hi = probe.partition.size();
           result.partition = std::move(probe.partition);
           winner = &probe;
-          progress = true;
+          moved = true;
         }
       } else if (probe.answer == sat::SolveResult::Unsat) {
         cert_lo = std::max(cert_lo, probe.bound + 1);
-        progress = true;
+        moved = true;
       } else if (probe.cancelled_by_rival) {
         ++result.probes_cancelled;
       }
@@ -234,22 +329,13 @@ void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
     // solver is in a terminal conflict state.)
     if (winner != nullptr) base = std::move(winner->formula);
     obs::emit_event(obs::EventCode::SmtWaveRetire, result.probe_waves, hi);
-    {
-      // Live progress: one frame per retired wave, carrying the certified
-      // bracket the deterministic merge just produced.
-      obs::ProgressFrame frame;
-      frame.seconds = phase.seconds();
-      frame.incumbent_depth = hi;
-      frame.lower_bound = cert_lo;
-      frame.gap = hi > cert_lo ? hi - cert_lo : 0;
-      frame.conflicts = result.smt_stats.conflicts;
-      frame.wave = result.probe_waves;
-      frame.phase = "wave";
-      options.budget.publish_progress(std::move(frame));
-    }
+    // One frame per retired wave, carrying the merged bracket.
+    progress.upper -= wave_hi - hi;
+    progress.lower += cert_lo - wave_lo;
+    progress.publish("wave", result.smt_stats.conflicts, result.probe_waves);
     // Every probe Unknown with no rival to blame: the shared budget (or a
     // per-call conflict cap) ran dry — keep the bracket and stop.
-    if (!progress) break;
+    if (!moved) break;
   }
 
   if (hi <= cert_lo) result.status = SapStatus::Optimal;
@@ -259,16 +345,14 @@ void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
   result.smt_seconds += phase.seconds();
 }
 
-/// Algorithm 1 on one irreducible matrix (no preprocessing).
-SapResult sap_solve_core(const BinaryMatrix& m, const SapOptions& options) {
-  Stopwatch total;
-  SapResult result;
-  const auto finish = [&](SapStatus status) {
-    result.status = status;
-    result.total_seconds = total.seconds();
-    return std::move(result);
-  };
-  if (m.is_zero()) return finish(SapStatus::Optimal);
+/// Algorithm 1's bracket on one irreducible matrix: the rank ladder below,
+/// row packing above, and the fooling certificate when they disagree. No
+/// SAT call is made. Returns true when the bracket is still open and the
+/// SMT phase may search it; otherwise `result.status` is final.
+bool sap_bracket(const BinaryMatrix& m, const SapOptions& options,
+                 SapResult& result) {
+  result.status = SapStatus::Optimal;
+  if (m.is_zero()) return false;
 
   // Lower bound: the rank ladder (Eq. 3).
   Stopwatch phase;
@@ -289,73 +373,118 @@ SapResult sap_solve_core(const BinaryMatrix& m, const SapOptions& options) {
   result.heuristic_size = result.partition.size();
   EBMF_ENSURES(static_cast<bool>(validate_partition(m, result.partition)));
 
-  if (result.partition.size() == result.rank_lower)
-    return finish(SapStatus::Optimal);
-  if (!options.use_smt ||
-      (options.smt_cell_limit != 0 &&
-       m.ones_count() > options.smt_cell_limit))
-    return finish(SapStatus::HeuristicOnly);
-  // The encoders are not interruptible; refuse a formula whose mere
-  // construction would blow through the deadline and keep the bracket.
-  if (!smt_encode_affordable(m.ones_count(), result.partition.size() - 1,
-                             options.budget))
-    return finish(SapStatus::BoundedOnly);
+  if (result.partition.size() == result.rank_lower) return false;
+  result.status = SapStatus::HeuristicOnly;
+  if (!options.use_smt) return false;
 
   // Fooling-set certificate (paper §II): k 1-cells no rectangle can share
   // prove r_B ≥ k. Only a set above the rank helps; one as large as the
-  // packing closes the bracket with no formula built.
-  phase.restart();
-  Budget fooling_budget = options.budget;
-  fooling_budget.max_nodes = kFoolingNodes;
-  const CellSet fooling = max_fooling_set(m, fooling_budget, result.rank_lower,
-                                          result.partition.size());
-  result.fooling_seconds = phase.seconds();
-  result.fooling_size = fooling.size();
-  if (fooling.size() > result.rank_lower) {
-    EBMF_ENSURES(is_fooling_set(m, fooling));
-    result.certified_lower = fooling.size();
+  // packing closes the bracket with no formula built. It runs ahead of
+  // the SMT refusals below, which it does not need, behind its own memory
+  // and deadline gates.
+  const std::size_t cells = m.ones_count();
+  const std::size_t graph_bytes = fooling_graph_bytes(cells);
+  bool refused = false;  // by the deadline, or by concurrent searches
+  if (graph_bytes <= kFoolingGraphBytes) {
+    const GraphClaim claim(graph_bytes);
+    refused = !claim.held || !fooling_affordable(cells, options.budget);
+    if (!refused) {
+      phase.restart();
+      Budget fooling_budget = options.budget;
+      fooling_budget.max_nodes = fooling_nodes(cells);
+      const CellSet fooling = max_fooling_set(
+          m, fooling_budget, result.rank_lower, result.partition.size());
+      result.fooling_seconds = phase.seconds();
+      result.fooling_size = fooling.size();
+      if (fooling.size() > result.rank_lower) {
+        EBMF_ENSURES(is_fooling_set(m, fooling));
+        result.certified_lower = fooling.size();
+      }
+    }
   }
-  if (result.certified_lower == result.partition.size())
-    return finish(SapStatus::Optimal);
-  if (options.budget.exhausted()) return finish(SapStatus::BoundedOnly);
+  if (result.certified_lower == result.partition.size()) {
+    result.status = SapStatus::Optimal;
+    return false;
+  }
+  // Past the cell guard no formula is built. The bracket is HeuristicOnly,
+  // the same at any budget, only when neither the deadline nor concurrent
+  // searches refused the fooling search and the deadline did not stop it.
+  // Otherwise a later attempt could tighten it, so it is BoundedOnly, and
+  // a cached copy is retried under a larger budget.
+  if (options.smt_cell_limit != 0 && cells > options.smt_cell_limit) {
+    if (refused || options.budget.exhausted())
+      result.status = SapStatus::BoundedOnly;
+    return false;
+  }
+  // The encoders are not interruptible; refuse a formula whose mere
+  // construction would blow through the deadline and keep the bracket.
+  result.status = SapStatus::BoundedOnly;
+  return smt_encode_affordable(cells, result.partition.size() - 1,
+                               options.budget) &&
+         !options.budget.exhausted();
+}
 
-  // SMT phase: query r_B(M) <= b for decreasing b (Algorithm 1, lines
-  // 2-10). With a race width > 1 and at least two unresolved bounds, the
-  // decreasing-b probes run concurrently; otherwise the sequential loop
-  // (which also reuses one incrementally-narrowed formula) is the better
-  // fit.
+/// SMT phase on one bracketed matrix: query r_B(M) <= b for decreasing b
+/// (Algorithm 1, lines 2-10). With a race width > 1 and at least two
+/// unresolved bounds, the decreasing-b probes run concurrently; otherwise
+/// the sequential loop (which also reuses one incrementally-narrowed
+/// formula) is the better fit.
+void sap_search(const BinaryMatrix& m, const SapOptions& options,
+                SapResult& result, Progress& progress) {
   const std::size_t probes = resolve_probes(options.probes);
   if (probes >= 2 && result.partition.size() >= result.certified_lower + 2)
-    smt_phase_race(m, options, probes, result);
+    smt_phase_race(m, options, probes, result, progress);
   else
-    smt_phase_sequential(m, options, result);
-  result.total_seconds = total.seconds();
+    smt_phase_sequential(m, options, result, progress);
+  progress.conflicts += result.smt_stats.conflicts;
   EBMF_ENSURES(result.partition.size() >= result.rank_lower);
-  return result;
 }
 
 }  // namespace
 
 SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
-  if (!options.preprocess) return sap_solve_core(m, options);
-
   Stopwatch total;
   // Exactness-preserving reductions: collapse duplicates, then split the
   // bipartite row/column graph into connected components; r_B is additive
   // over components and invariant under the collapse (see preprocess.h).
-  const DuplicateReduction reduction = reduce_duplicates(m);
-  const auto components = split_components(reduction.reduced);
+  // Without preprocessing the whole matrix is the one piece.
+  DuplicateReduction reduction;
+  std::vector<Component> components;
+  if (options.preprocess) {
+    reduction = reduce_duplicates(m);
+    components = split_components(reduction.reduced);
+  }
+  const std::size_t pieces = options.preprocess ? components.size() : 1;
+  const auto piece = [&](std::size_t c) -> const BinaryMatrix& {
+    return options.preprocess ? components[c].matrix : m;
+  };
 
-  SapOptions sub_options = options;
-  sub_options.preprocess = false;
+  // Bracket every piece before any SAT call, so the first frame already
+  // carries the whole pattern's bracket; then search the open ones.
+  Progress progress{options.budget};
+  std::vector<SapResult> subs(pieces);
+  std::vector<bool> open(pieces);
+  for (std::size_t c = 0; c < pieces; ++c) {
+    open[c] = sap_bracket(piece(c), options, subs[c]);
+    progress.upper += subs[c].partition.size();
+    progress.lower += subs[c].certified_lower;
+  }
+  progress.publish("seed");
+  for (std::size_t c = 0; c < pieces; ++c)
+    if (open[c]) sap_search(piece(c), options, subs[c], progress);
+  progress.publish("final");
 
+  if (!options.preprocess) {
+    subs[0].total_seconds = total.seconds();
+    return std::move(subs[0]);
+  }
   SapResult aggregate;
   aggregate.status = SapStatus::Optimal;
   Partition reduced_partition;
-  for (const auto& component : components) {
-    SapResult sub = sap_solve_core(component.matrix, sub_options);
+  for (std::size_t c = 0; c < pieces; ++c) {
+    const SapResult& sub = subs[c];
     Partition lifted =
-        lift_partition(sub.partition, component, reduction.reduced.rows(),
+        lift_partition(sub.partition, components[c], reduction.reduced.rows(),
                        reduction.reduced.cols());
     reduced_partition.insert(reduced_partition.end(),
                              std::make_move_iterator(lifted.begin()),
@@ -375,7 +504,9 @@ SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
     aggregate.probe_waves += sub.probe_waves;
     aggregate.probe_calls += sub.probe_calls;
     aggregate.probes_cancelled += sub.probes_cancelled;
-    if (sub.status != SapStatus::Optimal &&
+    // A budget-cut piece leaves the whole answer budget-dependent, so
+    // BoundedOnly outranks HeuristicOnly.
+    if (sub.status == SapStatus::BoundedOnly ||
         aggregate.status == SapStatus::Optimal)
       aggregate.status = sub.status;
   }

@@ -10,13 +10,19 @@
 /// 4. Otherwise a fooling-set search (core/fooling.h) on a fixed node
 ///    allowance seeks more than rank_lower cells no rectangle can share:
 ///    |P| of them prove P optimal with no formula built; fewer, but above
-///    the rank, become the certified lower bound L.
+///    the rank, become the certified lower bound L. It needs no formula,
+///    so it also runs where the SMT phase is refused (cell limit, encoding
+///    cost), up to its own memory ceiling.
 /// 5. Otherwise the SMT formula for b = |P|−1 is built and solved with
 ///    decreasing b (narrowing incrementally) until UNSAT or b < L.
 ///
 /// The procedure is *anytime*: P always holds the best valid partition
 /// found so far, so an expired deadline or exhausted conflict budget
 /// degrades the optimality certificate, never the solution's validity.
+/// Steps 1–4 run on every component before any SAT call; with a progress
+/// sink on the budget, sap_solve publishes the whole pattern's bracket
+/// then ("seed"), on every SAT or UNSAT answer that narrows it ("search",
+/// or "wave" per retired race wave), and once at the end ("final").
 
 #include <cstdint>
 #include <vector>
@@ -32,7 +38,8 @@ namespace ebmf {
 enum class SapStatus {
   Optimal,        ///< |P| = r_B proven (rank, fooling set or UNSAT).
   BoundedOnly,    ///< Search ended by budget; certified_lower ≤ r_B ≤ |P|.
-  HeuristicOnly,  ///< SMT disabled by options; same bracketing as above.
+  HeuristicOnly,  ///< SMT disabled or over smt_cell_limit, the bracket
+                  ///< shaped by no deadline; same bracket as above.
 };
 
 /// Options for sap_solve.

@@ -239,6 +239,36 @@ TEST(EngineCache, BoundedEntryUpgradesUnderABiggerBudget) {
   EXPECT_EQ(final_hit.status, engine::Status::Optimal);
 }
 
+TEST(EngineCache, DeadlineCutAutoAnswerIsReSolvedUnderABiggerBudget) {
+  // At 0.3 s the deadline refuses the fooling search on the 1000²
+  // component, and auto answers the rank bracket [75, 119] as Bounded.
+  // A 10 s request must re-solve rather than serve it: the fooling set
+  // then certifies 100.
+  Rng rng(1);
+  const BinaryMatrix m = benchgen::qldpc_block_matrix(1000, 1000, 0.5, rng);
+  engine::Engine engine;
+  engine.set_cache(ResultCache::with_capacity_mb(4));
+  const auto request = [&](double seconds) {
+    auto r = engine::SolveRequest::dense(m, "auto");
+    r.budget = Budget::after(seconds);
+    return r;
+  };
+
+  const auto rushed = engine.solve(request(0.3));
+  EXPECT_EQ(rushed.status, engine::Status::Bounded);
+  EXPECT_EQ(rushed.lower_bound, 75u);
+
+  const auto generous = engine.solve(request(10.0));
+  EXPECT_EQ(*generous.find_telemetry("cache_hit"), "false");
+  ASSERT_NE(generous.find_telemetry("cache.upgrade"), nullptr);
+  EXPECT_GT(generous.lower_bound, 75u);
+
+  // The tighter bracket replaced the stored one.
+  const auto hit = engine.solve(request(0.3));
+  EXPECT_EQ(*hit.find_telemetry("cache_hit"), "true");
+  EXPECT_EQ(hit.lower_bound, generous.lower_bound);
+}
+
 TEST(EngineCache, ConcurrentHammeringStaysConsistent) {
   engine::Engine engine;
   engine.set_cache(ResultCache::with_capacity_mb(1));

@@ -68,7 +68,7 @@ TEST(Cli, SolveRenderFlagShowsLabels) {
 TEST(Cli, SolveStrategyFlagSelectsBackend) {
   const auto path = write_temp_matrix("110\n011\n111\n", "eq2s");
   for (const char* strategy :
-       {"sap", "heuristic", "trivial", "completion", "local", "auto"}) {
+       {"sap", "heuristic", "trivial", "completion", "auto"}) {
     const auto r =
         run_cli("solve", {path, std::string("--strategy=") + strategy});
     EXPECT_EQ(r.code, 0) << strategy;
@@ -79,7 +79,7 @@ TEST(Cli, SolveStrategyFlagSelectsBackend) {
 
 TEST(Cli, SolveUnknownStrategyIsUsageError) {
   const auto path = write_temp_matrix("10\n01\n", "badstrat");
-  for (const std::string name : {"frobnicate", "brute", "dlx", "greedy"}) {
+  for (const std::string name : {"frobnicate", "brute", "dlx", "greedy", "local"}) {
     const auto r = run_cli("solve", {path, "--strategy=" + name});
     EXPECT_EQ(r.code, 2) << name;
     EXPECT_NE(r.err.find("unknown strategy '" + name + "'"),
@@ -173,7 +173,7 @@ TEST(Cli, StrategiesListsRegistry) {
   for (std::string line; std::getline(lines, line);)
     names.push_back(line.substr(0, line.find('\t')));
   EXPECT_EQ(names, (std::vector<std::string>{"auto", "completion", "heuristic",
-                                             "local", "sap", "trivial"}));
+                                             "sap", "trivial"}));
 }
 
 TEST(Cli, BoundsIncludesPackingUpperBound) {

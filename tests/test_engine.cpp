@@ -26,7 +26,7 @@ TEST(Registry, BuiltinsArePresent) {
   const auto registry = SolverRegistry::with_builtins();
   const auto names = registry.names();
   EXPECT_EQ(names, (std::vector<std::string>{"auto", "completion", "heuristic",
-                                             "local", "sap", "trivial"}));
+                                             "sap", "trivial"}));
   EXPECT_EQ(names.size(), registry.size());
   for (const auto& name : names) {
     EXPECT_TRUE(registry.contains(name)) << name;
@@ -115,22 +115,53 @@ TEST(Auto, MidSizeInstanceSelectsSap) {
   EXPECT_EQ(*report.find_telemetry("auto.selected"), "sap");
 }
 
-TEST(Auto, LargeInstanceSelectsAnytimeLocalAndStaysValid) {
+TEST(Auto, LargeInstanceRacesSapAndStaysValid) {
   Rng rng(22);
   const auto m = BinaryMatrix::random(40, 40, 0.5, rng);  // ~800 ones
   const Engine engine;
   auto request = SolveRequest::dense(m, "auto");
   request.trials = 10;
   const auto report = engine.solve(request);
-  // ~800 dense 1-cells sits past the fitted exact/race cutoffs, so the
-  // portfolio hands it to the anytime tier, which still returns a valid
-  // partition with a certified gap bound.
+  // ~800 dense 1-cells sits past the fitted exact cutoff, so the portfolio
+  // hands it to SAP's bound race with SMT kept under the cell guard, which
+  // still returns a valid partition with a certified gap bound.
   ASSERT_NE(report.find_telemetry("auto.selected"), nullptr);
-  EXPECT_EQ(*report.find_telemetry("auto.selected"), "local");
+  EXPECT_EQ(*report.find_telemetry("auto.selected"), "sap");
   ASSERT_NE(report.find_telemetry("auto.tier"), nullptr);
-  EXPECT_EQ(*report.find_telemetry("auto.tier"), "anytime");
+  EXPECT_EQ(*report.find_telemetry("auto.tier"), "race");
   EXPECT_TRUE(validate_partition(m, report.partition).ok);
   EXPECT_EQ(report.gap, report.upper_bound - report.lower_bound);
+}
+
+TEST(Auto, RaceTierCertifiesQldpcBlockOptimum) {
+  // qldpc 200² at occupancy 0.5 (seed 1) is past the exact cutoff; SAP's
+  // fooling search certifies the packing's 24 with no SAT call.
+  Rng rng(1);
+  const auto m = benchgen::qldpc_block_matrix(200, 200, 0.5, rng);
+  const Engine engine;
+  auto request = SolveRequest::dense(m, "auto");
+  request.budget = Budget::after(2.0);
+  const auto report = engine.solve(request);
+  ASSERT_NE(report.find_telemetry("auto.tier"), nullptr);
+  EXPECT_EQ(*report.find_telemetry("auto.tier"), "race");
+  EXPECT_TRUE(report.proven_optimal());
+  EXPECT_EQ(report.depth(), 24u);
+  EXPECT_EQ(report.lower_bound, 24u);
+}
+
+TEST(Auto, DeadlineCutBracketReportsBounded) {
+  // The 1000² component has 37,390 cells, far past the cell guard. At
+  // 0.3 s the deadline refuses the fooling search's graph build, so the
+  // bracket depends on the budget: Bounded, not Heuristic.
+  Rng rng(1);
+  const BinaryMatrix m = benchgen::qldpc_block_matrix(1000, 1000, 0.5, rng);
+  const Engine engine;
+  auto request = SolveRequest::dense(m, "auto");
+  request.budget = Budget::after(0.3);
+  const auto report = engine.solve(request);
+  EXPECT_EQ(report.status, Status::Bounded);
+  EXPECT_EQ(report.lower_bound, 75u);
+  EXPECT_TRUE(validate_partition(m, report.partition).ok);
 }
 
 TEST(Auto, DontCaresSelectCompletion) {
@@ -160,7 +191,8 @@ TEST(Budget, ExpiredDeadlineStillYieldsValidAnytimePartition) {
 // The budget contract on a 1000² qLDPC pattern (277,908 ones): every
 // strategy returns within its deadline + 10% + 50 ms. The lower bound is
 // the Eq. 3 rank (75), except for `completion`, whose don't-care-safe
-// fooling bound reads 77 here.
+// fooling bound reads 77 here, and `sap` and `auto`, whose fooling search
+// certifies about 100.
 TEST(Budget, LargePatternReturnsWithinDeadline) {
   Rng rng(1);
   const BinaryMatrix m = benchgen::qldpc_block_matrix(1000, 1000, 0.5, rng);
@@ -175,9 +207,55 @@ TEST(Budget, LargePatternReturnsWithinDeadline) {
     EXPECT_LE(clock.seconds(), kBudget * 1.1 + 0.05) << name;
     if (name == "completion")
       EXPECT_GE(report.lower_bound, 75u) << name;
+    else if (name == "sap" || name == "auto")
+      EXPECT_GT(report.lower_bound, 75u) << name;
     else
       EXPECT_EQ(report.lower_bound, 75u) << name;
     EXPECT_FALSE(report.partition.empty()) << name;
+  }
+}
+
+// CI's smoke instance (qldpc 200², occupancy 0.3, seed 11) reduces to one
+// 27×92 component with 760 ones, whose SMT formula takes seconds to build:
+// a 0.5 s budget must refuse it rather than build it.
+TEST(Budget, SapKeepsToShortDeadlineOnDenseComponent) {
+  Rng rng(11);
+  const BinaryMatrix m = benchgen::qldpc_block_matrix(200, 200, 0.3, rng);
+  constexpr double kBudget = 0.5;
+  const Engine engine;
+  auto request = SolveRequest::dense(m, "sap");
+  const Stopwatch clock;
+  request.budget = Budget::after(kBudget);
+  const auto report = engine.solve(request);
+  EXPECT_LE(clock.seconds(), kBudget * 1.1 + 0.05);
+  EXPECT_TRUE(validate_partition(m, report.partition).ok);
+  EXPECT_GE(report.depth(), report.lower_bound);
+}
+
+TEST(EngineGap, GapZeroIffProvedOptimal) {
+  const Engine engine;
+  // Optimal case: small instance, exact tier closes the bracket.
+  {
+    const auto report =
+        engine.solve(SolveRequest::dense(BinaryMatrix::parse("110;011;111"),
+                                         "sap"));
+    EXPECT_TRUE(report.proven_optimal());
+    EXPECT_EQ(report.gap, 0u);
+    EXPECT_EQ(report.lower_bound, report.upper_bound);
+    EXPECT_EQ(report.incumbent_depth, report.upper_bound);
+  }
+  // Bounded case: gap 20² k=6 (seed 2) stays open past a short budget
+  // here — SAP returns an incumbent with an open, correctly-sized gap.
+  {
+    Rng rng(2);
+    const auto inst = benchgen::gap_matrix(20, 20, 6, rng);
+    auto request = SolveRequest::dense(inst.matrix, "sap");
+    request.budget = Budget::after(1.0);
+    const auto report = engine.solve(request);
+    EXPECT_FALSE(report.partition.empty());
+    EXPECT_EQ(report.incumbent_depth, report.partition.size());
+    EXPECT_EQ(report.gap, report.upper_bound - report.lower_bound);
+    EXPECT_EQ(report.gap == 0, report.proven_optimal());
   }
 }
 

@@ -461,7 +461,7 @@ TEST(Events, RingWraparoundKeepsNewest) {
 }
 
 TEST(Events, SnapshotMergesThreadRingsAndRendersJson) {
-  emit_event(EventCode::LocalIncumbent, 7, 1);
+  emit_event(EventCode::SmtWaveRetire, 7, 1);
   emit_event(EventCode::CacheEvict, 4096, 12);
   const std::vector<EventRecord> records = snapshot_events(256);
   ASSERT_GE(records.size(), 2u);
@@ -469,7 +469,7 @@ TEST(Events, SnapshotMergesThreadRingsAndRendersJson) {
   for (std::size_t i = 1; i < records.size(); ++i)
     EXPECT_GE(records[i].tick, records[i - 1].tick);
   const std::string json = events_json(records);
-  EXPECT_NE(json.find("\"event\":\"local.incumbent\""), std::string::npos);
+  EXPECT_NE(json.find("\"event\":\"smt.wave_retire\""), std::string::npos);
   EXPECT_NE(json.find("\"event\":\"cache.evict\""), std::string::npos);
   // The cap keeps the newest records: the single survivor is at least as
   // new as everything in the full snapshot.

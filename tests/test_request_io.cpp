@@ -361,7 +361,7 @@ TEST(WireResponse, ParsesBackIntoAReport) {
 TEST(WireResponse, AnytimeFieldsRoundTripAndDefault) {
   // An open-bracket anytime report keeps its incumbent and gap on the wire.
   engine::SolveReport report;
-  report.strategy = "local";
+  report.strategy = "sap";
   report.status = engine::Status::Bounded;
   report.lower_bound = 75;
   report.upper_bound = 120;

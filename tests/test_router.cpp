@@ -640,14 +640,14 @@ TEST(Router, EventsVerbSnapshotsTheRecorder) {
 
 TEST(Router, WatchRelaysBackendProgressFrames) {
   Fleet fleet(/*l1_mb=*/0.0);
-  // A structured qldpc-block pattern: the rank certificate goes slack, so
-  // the budgeted local solve runs anytime and streams its trajectory.
-  Rng gen(7);
-  const BinaryMatrix hard =
-      benchgen::qldpc_block_matrix(96, 64, 0.3, gen);
+  // Gap 20² k=6 (seed 6) on a one-trial packing: SAP's SAT search narrows
+  // the bracket, then stays open past the budget, so the budgeted auto
+  // solve runs anytime and streams its bracket.
+  Rng gen(6);
+  const BinaryMatrix hard = benchgen::gap_matrix(20, 20, 6, gen).matrix;
   service::Client solver("127.0.0.1", fleet.router->port());
   solver.send_line("{\"id\":0,\"pattern\":\"" + pattern_text(hard) +
-                   "\",\"strategy\":\"local\",\"budget\":1.5}");
+                   "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":1.5}");
 
   service::Client watcher("127.0.0.1", fleet.router->port());
   std::string line;

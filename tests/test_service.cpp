@@ -322,13 +322,7 @@ TEST(Service, EphemeralPortIsReportedAndReusable) {
 
 // ---- live progress streaming and the flight recorder -----------------------
 
-/// A structured qldpc-block pattern whose rank certificate goes slack —
-/// a budgeted `local` solve on it runs anytime until the deadline,
-/// publishing progress frames the whole way instead of certifying early.
-std::string hard_pattern(std::size_t blocks = 96, std::size_t width = 64) {
-  Rng rng(7);
-  const BinaryMatrix m =
-      benchgen::qldpc_block_matrix(blocks, width, 0.3, rng);
+std::string pattern_text(const BinaryMatrix& m) {
   std::string out;
   for (std::size_t r = 0; r < m.rows(); ++r) {
     if (r != 0) out += ';';
@@ -336,6 +330,23 @@ std::string hard_pattern(std::size_t blocks = 96, std::size_t width = 64) {
       out += m.test(r, c) ? '1' : '0';
   }
   return out;
+}
+
+/// A structured qldpc-block pattern whose rank certificate goes slack, so
+/// row packing alone answers it as a heuristic.
+std::string hard_pattern(std::size_t blocks, std::size_t width) {
+  Rng rng(7);
+  return pattern_text(benchgen::qldpc_block_matrix(blocks, width, 0.3, rng));
+}
+
+/// Gap 20² k=6 (seed 6). Sent with `"trials":1`, SAP brackets it at
+/// [16, 19], its SAT search narrows that to [16, 17] within ~1,500
+/// conflicts, and the next bound stays open for seconds. So a budgeted
+/// `auto` solve publishes seed, search and final frames and runs until its
+/// deadline instead of certifying early.
+std::string open_pattern() {
+  Rng rng(6);
+  return pattern_text(benchgen::gap_matrix(20, 20, 6, rng).matrix);
 }
 
 /// Subscribe `watcher` to in-flight id 0, retrying while the solve line is
@@ -371,8 +382,8 @@ TEST(Watch, StreamsFramesWithNonIncreasingGapThenDone) {
   Server server(test_options());
   server.start();
   Client solver("127.0.0.1", server.port());
-  solver.send_line("{\"id\":0,\"pattern\":\"" + hard_pattern() +
-                   "\",\"strategy\":\"local\",\"budget\":1.5}");
+  solver.send_line("{\"id\":0,\"pattern\":\"" + open_pattern() +
+                   "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":1.5}");
 
   Client watcher("127.0.0.1", server.port());
   std::string line = subscribe_watch(watcher);
@@ -413,7 +424,7 @@ TEST(Watch, StreamsFramesWithNonIncreasingGapThenDone) {
     line = watcher.read_line();
   }
   EXPECT_TRUE(done);
-  EXPECT_GE(frames, 3u) << "budgeted local solve streamed too few frames";
+  EXPECT_GE(frames, 3u) << "budgeted auto solve streamed too few frames";
 
   // The solve reply itself still arrives on the solving connection, and —
   // being budget-cut — carries the flight recorder's tail.
@@ -428,8 +439,8 @@ TEST(Watch, SubscriberDisconnectMidSolveDoesNotStallTheSolver) {
   Server server(test_options());
   server.start();
   Client solver("127.0.0.1", server.port());
-  solver.send_line("{\"id\":0,\"pattern\":\"" + hard_pattern() +
-                   "\",\"strategy\":\"local\",\"budget\":1.0}");
+  solver.send_line("{\"id\":0,\"pattern\":\"" + open_pattern() +
+                   "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":1.0}");
   {
     Client watcher("127.0.0.1", server.port());
     const std::string first = subscribe_watch(watcher);
@@ -448,8 +459,8 @@ TEST(Events, BudgetCutReplyCarriesFlightRecorderSnapshot) {
   server.start();
   Client client("127.0.0.1", server.port());
   const Reply reply(client.round_trip(
-      "{\"pattern\":\"" + hard_pattern() +
-      "\",\"strategy\":\"local\",\"budget\":0.3}"));
+      "{\"pattern\":\"" + open_pattern() +
+      "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":0.3}"));
   ASSERT_FALSE(reply.is_error());
   ASSERT_NE(reply.document.find("status")->as_string(), "optimal");
   const io::json::Value* events = reply.document.find("events");
@@ -469,8 +480,8 @@ TEST(Events, WarmHeuristicHitCarriesNoEvents) {
   Client client("127.0.0.1", server.port());
   // Fill the flight recorder first, so a wrongly spliced tail would show.
   const Reply cut(client.round_trip(
-      "{\"pattern\":\"" + hard_pattern(48, 48) +
-      "\",\"strategy\":\"local\",\"budget\":0.2}"));
+      "{\"pattern\":\"" + open_pattern() +
+      "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":0.2}"));
   ASSERT_FALSE(cut.is_error());
   const std::string line = "{\"pattern\":\"" + hard_pattern(24, 32) +
                            "\",\"strategy\":\"heuristic\",\"trials\":5}";
@@ -494,8 +505,8 @@ TEST(Events, VerbSnapshotsTheRecorderOnDemand) {
   Client client("127.0.0.1", server.port());
   // A solve first, so the rings hold something attributable.
   const Reply solve(client.round_trip(
-      "{\"pattern\":\"" + hard_pattern(48, 48) +
-      "\",\"strategy\":\"local\",\"budget\":0.2}"));
+      "{\"pattern\":\"" + open_pattern() +
+      "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":0.2}"));
   ASSERT_FALSE(solve.is_error());
   const std::string raw = client.round_trip(R"({"op":"events","id":3})");
   EXPECT_EQ(raw.rfind("{\"id\":3,", 0), 0u);

@@ -132,8 +132,9 @@ def check_anytime(failures, base_rows, cur_rows, tolerance, floor_seconds):
     base_by_label = {row["label"]: row for row in base_rows}
     for row in cur_rows:
         label = f"table1.anytime[{row['label']}]"
-        # Validity is a hard contract, baseline or not: the local strategy
-        # must hand back a validated incumbent for every case.
+        # Validity is a hard contract, baseline or not: `auto` on these
+        # large instances must hand back a validated incumbent for every
+        # case.
         if row["valid"] != row["cases"]:
             print(f"  {label}: {row['valid']}/{row['cases']} valid "
                   "incumbents [REGRESSION]")
@@ -280,7 +281,7 @@ def main():
                           args.tolerance, args.floor)
         cur_any = cur_t1.get("anytime", [])
         if cur_any:
-            print("table1 (anytime tier, gap metrics):")
+            print("table1 (anytime suites, gap metrics):")
             check_anytime(failures, base_t1.get("anytime", []), cur_any,
                           args.tolerance, args.floor)
         race = cur_t1.get("race", {})

@@ -7,15 +7,10 @@ and the engine SolveReport). Every instance solved through the exact
 tier ("sap") is classified as an exact-tier *win* (certified optimal
 within its budget) or *loss* (budget ran dry with an open bracket).
 The fitter then picks, per density class, the 1-cell threshold that
-separates wins from losses:
-
-  * exact cutoff  — midpoint between the largest certified instance
-    below the smallest failure and that smallest failure (max win
-    when nothing failed);
-  * race ceiling  — 1.5x the exact cutoff: the bound race widens the
-    exact tier's reach by roughly its probe width on the instances
-    just past sequential reach, and the margin keeps the portfolio
-    from handing hopeless formulas to the race.
+separates wins from losses: the midpoint between the largest certified
+instance below the smallest failure and that smallest failure (1.5x the
+largest win when nothing failed). Past it, `auto` runs sap with an
+auto-width bound race.
 
 One threshold is structural, not fitted, and is carried through
 unchanged: the sparse/dense density boundary (preprocessing shatters
@@ -43,7 +38,9 @@ FLOORS = {"dense": 300, "sparse": 1500}
 # plausibly encode (see smt_encode_affordable in src/smt/sap.cpp).
 CEILINGS = {"dense": 5000, "sparse": 30000}
 
-RACE_MARGIN = 1.5
+# With no failure in the trajectory, the exact tier extends this far past
+# its largest certified instance.
+EXTEND_MARGIN = 1.5
 
 
 def load_records(path):
@@ -92,9 +89,8 @@ def fit_cutoff(wins, losses, floor, ceiling):
             # doesn't separate cleanly; stay at the conservative floor.
             cutoff = floor
     elif wins:
-        # Nothing failed: extend past the largest certified instance, but
-        # only by the same margin the race tier gets.
-        cutoff = int(max(wins) * RACE_MARGIN)
+        # Nothing failed: extend past the largest certified instance.
+        cutoff = int(max(wins) * EXTEND_MARGIN)
     else:
         cutoff = floor
     return max(floor, min(cutoff, ceiling))
@@ -123,16 +119,13 @@ namespace ebmf::engine {{
 /// the pattern into SMT-feasible components.
 inline constexpr double kFitSparseDensity = {sparse_density};
 
-/// Dense exact tier: sequential SAP up to this many 1-cells.
+/// Dense exact tier: sequential SAP up to this many 1-cells; past it
+/// SAP with an auto-width bound race.
 inline constexpr std::size_t kFitExactDenseOnes = {exact_dense};
-/// Dense bound-race tier: SAP with an auto-width bound race up to here;
-/// past it the anytime local search takes over.
-inline constexpr std::size_t kFitRaceDenseOnes = {race_dense};
 
-/// Sparse exact tier: sequential SAP up to this many 1-cells.
+/// Sparse exact tier: sequential SAP up to this many 1-cells; past it
+/// SAP with an auto-width bound race.
 inline constexpr std::size_t kFitExactSparseOnes = {exact_sparse};
-/// Sparse bound-race tier ceiling; past it the anytime local search.
-inline constexpr std::size_t kFitRaceSparseOnes = {race_sparse};
 
 }}  // namespace ebmf::engine
 '''
@@ -165,9 +158,7 @@ def main():
         provenance=provenance,
         sparse_density=SPARSE_DENSITY,
         exact_dense=cutoffs["dense"],
-        race_dense=int(cutoffs["dense"] * RACE_MARGIN),
         exact_sparse=cutoffs["sparse"],
-        race_sparse=int(cutoffs["sparse"] * RACE_MARGIN),
     )
     if args.output:
         with open(args.output, "w") as fh:
