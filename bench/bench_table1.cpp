@@ -21,7 +21,6 @@
 #include "core/bounds.h"
 #include "core/trivial.h"
 #include "engine/engine.h"
-#include "support/rng.h"
 #include "support/stopwatch.h"
 
 namespace {
@@ -57,7 +56,7 @@ std::size_t certified_optimum(const ebmf::engine::Engine& engine,
   request.budget = opt.budget();
   request.label = inst.family + "/" + inst.config;
   const auto report = engine.solve(request);
-  ebmf::bench::emit_json(opt, inst.family, inst.config, report, &inst.matrix);
+  ebmf::bench::emit_json(opt, inst.family, inst.config, report);
   return report.proven_optimal() ? report.depth() : 0;
 }
 
@@ -92,54 +91,10 @@ RowResult evaluate(const std::string& label,
   return row;
 }
 
-/// Cold (sequential) vs probe-raced SMT wall-clock on the weak-heuristic
-/// gap instances where the bound race engages (heuristic overshoot >= 2).
-/// Depths and statuses must agree; the two timings land in the --json
-/// summary so the BENCH_sap.json trajectory tracks the race.
-struct RaceComparison {
-  double seq_seconds = 0.0;
-  double race_seconds = 0.0;
-  std::size_t probes = 4;
-  bool depth_match = true;
-  /// True when every run certified optimality. Depth equality is only
-  /// guaranteed when both sides converge; a budget-cut run may
-  /// legitimately stop at different anytime depths.
-  bool converged = true;
-};
-
-RaceComparison compare_bound_race(const ebmf::bench::Options& opt) {
-  const struct {
-    std::size_t n, k;
-    std::uint64_t seed;
-  } kCases[] = {{10, 3, 3}, {12, 4, 1}};
-  const ebmf::engine::Engine engine;
-  RaceComparison cmp;
-  for (const auto& c : kCases) {
-    ebmf::Rng rng(c.seed);
-    const auto m = ebmf::benchgen::gap_matrix(c.n, c.n, c.k, rng).matrix;
-    std::size_t depths[2] = {0, 0};
-    for (int r = 0; r < 2; ++r) {
-      auto request = SolveRequest::dense(m, "sap");
-      request.trials = 1;  // weak heuristic: leaves bounds for the race
-      request.seed = 7;
-      request.probes = r == 0 ? 1 : cmp.probes;
-      request.budget = opt.budget();
-      ebmf::Stopwatch sw;
-      const auto report = engine.solve(request);
-      (r == 0 ? cmp.seq_seconds : cmp.race_seconds) += sw.seconds();
-      depths[r] = report.depth();
-      if (!report.proven_optimal()) cmp.converged = false;
-    }
-    if (depths[0] != depths[1]) cmp.depth_match = false;
-  }
-  return cmp;
-}
-
-/// One anytime suite row: the `auto` portfolio (past its exact cutoff, a
-/// bound-raced `sap` solve) on the large qldpc / neutral-atom instances,
-/// reported as gap/incumbent metrics (every partition the engine returns
-/// is validated, so `valid` counts them all). The --json records carry strategy "sap",
-/// so tools/fit_portfolio.py reads them as exact-tier attempts.
+/// One anytime suite row: the `auto` portfolio (`sap` under its cell guard)
+/// on the large qldpc / neutral-atom instances, reported as gap/incumbent
+/// metrics (every partition the engine returns is validated, so `valid`
+/// counts them all).
 struct AnytimeRow {
   std::string label;
   std::size_t cases = 0;
@@ -169,8 +124,7 @@ AnytimeRow evaluate_anytime(const std::string& label,
     request.budget = ebmf::Budget::after(budget_seconds);
     request.label = inst.family + "/" + inst.config;
     const auto report = engine.solve(request);
-    ebmf::bench::emit_json(opt, inst.family, inst.config, report,
-                           &inst.matrix);
+    ebmf::bench::emit_json(opt, inst.family, inst.config, report);
     if (!report.partition.empty()) ++row.valid;
     if (report.proven_optimal()) ++row.optimal;
     gap_sum += static_cast<double>(report.gap);
@@ -276,14 +230,8 @@ int main(int argc, char** argv) {
                 a.cases, a.valid, a.optimal, a.mean_gap, a.max_gap,
                 a.seconds);
 
-  const RaceComparison race = compare_bound_race(opt);
-  std::printf("\nSMT bound race (weak-heuristic gap set): sequential %.2fs, "
-              "%zu probes %.2fs, depths %s\n",
-              race.seq_seconds, race.probes, race.race_seconds,
-              race.depth_match ? "match" : "DIFFER");
-
   if (opt.json) {
-    // One machine-readable summary line (suite wall-clocks + race timings)
+    // One machine-readable summary line (suite wall-clocks, anytime gaps)
     // for the BENCH_sap.json trajectory; tools/bench_compare.py diffs it.
     double total = 0.0;
     for (const auto& r : rows) total += r.seconds;
@@ -307,17 +255,7 @@ int main(int argc, char** argv) {
                   anytime[i].valid, anytime[i].optimal, anytime[i].mean_gap,
                   anytime[i].max_gap, anytime[i].seconds);
     }
-    // "threads" records what width this host could actually race on —
-    // 1-thread baselines and CI multicore numbers sit side by side in
-    // BENCH_sap.json.
-    std::printf("],\"race\":{\"probes\":%zu,\"threads\":%u,"
-                "\"seq_seconds\":%.3f,"
-                "\"race_seconds\":%.3f,\"depth_match\":%s,"
-                "\"converged\":%s}}\n",
-                race.probes, std::thread::hardware_concurrency(),
-                race.seq_seconds, race.race_seconds,
-                race.depth_match ? "true" : "false",
-                race.converged ? "true" : "false");
+    std::printf("]}\n");
   }
 
   std::printf("\nPaper's shape to verify: rank column high for random "

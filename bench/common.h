@@ -76,22 +76,11 @@ inline Options parse_options(int argc, char** argv) {
 }
 
 /// When --json was given, print one line of JSON for a solved instance.
-/// `family`/`config` identify the instance (benchgen provenance); pass the
-/// pattern to also record its shape and 1-count — tools/fit_portfolio.py
-/// needs them to fit the "auto" cutoffs from these lines.
+/// `family`/`config` identify the instance (benchgen provenance).
 inline void emit_json(const Options& opt, const std::string& family,
                       const std::string& config,
-                      const engine::SolveReport& report,
-                      const BinaryMatrix* pattern = nullptr) {
+                      const engine::SolveReport& report) {
   if (!opt.json) return;
-  if (pattern != nullptr) {
-    std::printf("{\"family\":\"%s\",\"config\":\"%s\",\"rows\":%zu,"
-                "\"cols\":%zu,\"ones\":%zu,\"report\":%s}\n",
-                family.c_str(), config.c_str(), pattern->rows(),
-                pattern->cols(), pattern->ones_count(),
-                engine::to_json(report).c_str());
-    return;
-  }
   std::printf("{\"family\":\"%s\",\"config\":\"%s\",\"report\":%s}\n",
               family.c_str(), config.c_str(),
               engine::to_json(report).c_str());

@@ -134,7 +134,7 @@ class FlagReader {
 /// The request-building flags shared by `solve` and `schedule`.
 constexpr const char* kRequestFlagsUsage =
     "[--strategy=NAME] [--trials=N] [--seed=N] [--budget=S] [--conflicts=N] "
-    "[--nodes=N] [--probes=N] [--stop-at=D] [--encoding=onehot|binary] "
+    "[--nodes=N] [--stop-at=D] [--encoding=onehot|binary] "
     "[--no-preprocess] [--heuristic-only]";
 
 /// Build the facade request skeleton (everything but the pattern) from
@@ -151,8 +151,6 @@ bool request_from(const Args& args, const engine::Engine& engine,
   if (args.has("conflicts"))
     request.budget.max_conflicts = flags.i64("conflicts", -1);
   if (args.has("nodes")) request.budget.max_nodes = flags.u64("nodes", 0);
-  // SMT bound-race width: 1 = sequential, 0 = auto (hardware threads).
-  if (args.has("probes")) request.probes = flags.count("probes", 1);
   // Anytime early-stop: accept the first incumbent at depth <= D.
   if (args.has("stop-at")) request.stop_at = flags.count("stop-at", 0);
   if (!flags.valid(err)) return false;
@@ -956,8 +954,6 @@ bool render_watch_line(std::ostream& out, const std::string& line, bool raw) {
   if (const double conflicts = stat_num(&document, "conflicts");
       conflicts > 0)
     out << " conflicts=" << io::json::number(conflicts);
-  if (const double wave = stat_num(&document, "wave"); wave > 0)
-    out << " wave=" << io::json::number(wave);
   out << "\n";
   out.flush();
   return true;
@@ -1461,7 +1457,7 @@ std::string usage() {
          "  convert <in> <out>  rewrite between dense/sparse/PBM formats\n"
          "  encode <file>       emit the SMT decision problem as DIMACS CNF\n"
          "\n"
-         "solve strategies: auto (fitted portfolio), sap (exact, anytime "
+         "solve strategies: auto (sap or completion), sap (exact, anytime "
          "bracket),\n"
          "heuristic, trivial, completion; run a command without arguments "
          "for its flags\n";

@@ -34,6 +34,13 @@ std::size_t masked_fooling_lower_bound(const MaskedMatrix& m) {
 /// 204 cells at bound 19 take ≈ 0.06 s (4-vCPU Xeon, g++ 12.2, Release).
 constexpr double kEncodeSecondsPerUnit = 1e-7;
 
+/// Ceiling on those work units at any budget, deadline or not. Measured
+/// peak RSS of the build (masked random n×n at 0.5, 5% don't-cares, same
+/// host): 165 MB at 2.35e6 units (25²), 339 MB at 5.54e6 (30²), 652 MB at
+/// 1.24e7 (35²), i.e. 50–70 bytes per unit. 2^24 units stay under 1.2 GB;
+/// a 60² pattern needs ≈ 2e8 units (≈ 11 GB).
+constexpr double kMaxEncodeUnits = 16777216.0;
+
 /// One-hot CNF for "the 1-cells of m are addressable with <= bound
 /// rectangles" under the chosen don't-care semantics.
 class MaskedFormula {
@@ -196,14 +203,17 @@ CompletionResult solve_masked(const MaskedMatrix& m,
   std::size_t b = result.partition.size() - 1;
   const auto cells =
       static_cast<double>(m.pattern().ones_count() + m.dont_care_count());
-  if (!options.budget.affords(kEncodeSecondsPerUnit * cells * cells *
-                              static_cast<double>(b))) {
-    // The packing bracket stands: Bounded, not a SAT call we cannot afford.
+  const double units = cells * cells * static_cast<double>(b);
+  if (units > kMaxEncodeUnits ||
+      !options.budget.affords(kEncodeSecondsPerUnit * units)) {
+    // The packing bracket stands: Bounded, not a formula we cannot hold
+    // in memory or build in time.
     result.seconds = timer.seconds();
     return result;
   }
   MaskedFormula formula(m, b, options.semantics);
   while (b >= lower) {
+    ++result.sat_calls;
     const auto answer = formula.solve(options.budget);
     if (answer == sat::SolveResult::Sat) {
       Partition p = formula.extract();

@@ -45,6 +45,9 @@ struct CompletionResult {
   /// that pairwise cannot share a rectangle because a crossing cell is a
   /// hard Zero. Certified ≤ r_B under either semantics; 0 iff no 1-cells.
   std::size_t lower_bound = 0;
+  /// SAT decision calls made; 0 when the bracket closed without one or
+  /// the formula was refused (memory ceiling or deadline).
+  std::size_t sat_calls = 0;
   double seconds = 0.0;
 };
 

@@ -3,8 +3,7 @@
 // Each strategy maps a SolveRequest onto one of the library's backends and
 // its backend-specific result onto the unified SolveReport: status, bounds,
 // per-phase timings, and key/value telemetry. The "auto" strategy is the
-// portfolio dispatcher: it picks a backend from instance size/density and
-// don't-cares.
+// portfolio dispatcher: it picks a backend from the request's don't-cares.
 
 #include <algorithm>
 #include <utility>
@@ -14,16 +13,12 @@
 #include "core/row_packing.h"
 #include "core/trivial.h"
 #include "engine/engine.h"
-#include "engine/portfolio_cutoffs.h"
 #include "smt/sap.h"
 #include "support/stopwatch.h"
 
 namespace ebmf::engine {
 
 namespace {
-
-// The "auto" size/density cutoffs live in portfolio_cutoffs.h — generated
-// by tools/fit_portfolio.py from bench_table1 trajectories, not hand-tuned.
 
 /// Per-component formula guard "auto" applies when the caller set none.
 constexpr std::size_t kAutoSmtCellGuard = 200;
@@ -60,13 +55,12 @@ SolveReport solve_sap(const SolveRequest& request) {
   options.budget = request.budget;
   options.preprocess = request.preprocess;
   options.smt_cell_limit = request.smt_cell_limit;
-  options.probes = request.probes;
   SapResult result = sap_solve(request.pattern(), options);
 
   SolveReport report;
   report.partition = std::move(result.partition);
   // certified_lower carries fooling-set and UNSAT tightenings past the rank
-  // bound (the race can certify one even when the budget cuts the search).
+  // bound, even when the budget cuts the search.
   report.lower_bound = std::max(result.rank_lower, result.certified_lower);
   switch (result.status) {
     case SapStatus::Optimal:
@@ -104,17 +98,6 @@ SolveReport solve_sap(const SolveRequest& request) {
                        result.smt_stats.learned_clauses);
   report.add_telemetry("sat.arena_bytes", result.smt_stats.arena_bytes);
   report.add_telemetry("sat.arena_gcs", result.smt_stats.arena_gcs);
-  if (result.probes_used > 1) {
-    report.add_telemetry("sap.probes",
-                         static_cast<std::uint64_t>(result.probes_used));
-    report.add_telemetry("sap.probe.waves",
-                         static_cast<std::uint64_t>(result.probe_waves));
-    report.add_telemetry("sap.probe.calls",
-                         static_cast<std::uint64_t>(result.probe_calls));
-    report.add_telemetry(
-        "sap.probe.cancelled",
-        static_cast<std::uint64_t>(result.probes_cancelled));
-  }
   return report;
 }
 
@@ -208,35 +191,19 @@ SolveReport solve_completion(const SolveRequest& request) {
   return report;
 }
 
+/// Don't-cares go to `completion`; every other pattern goes to `sap`, which
+/// keeps SMT to the components under the cell guard and gives the rest its
+/// certified bracket.
 SolveReport solve_auto(const SolveRequest& request) {
-  const BinaryMatrix& pattern = request.pattern();
-  const std::size_t ones = pattern.ones_count();
-  const std::size_t cells = pattern.rows() * pattern.cols();
-  const double density =
-      cells == 0 ? 0.0
-                 : static_cast<double>(ones) / static_cast<double>(cells);
-  // Fitted two-tier routing (portfolio_cutoffs.h): sequential exact SAP
-  // while the instance is small enough to certify, and past that a
-  // multi-probe bound race, where the sequential loop wastes the budget.
-  // Both keep SMT to the components under the cell guard; the rest get
-  // SAP's certified bracket.
-  const bool sparse = density <= kFitSparseDensity;
-  const std::size_t exact_limit =
-      sparse ? kFitExactSparseOnes : kFitExactDenseOnes;
-  const bool race = !request.has_dont_cares() && ones > exact_limit;
-
   SolveRequest sub = request;
   sub.strategy = request.has_dont_cares() ? "completion" : "sap";
   if (sub.strategy == "sap" && sub.smt_cell_limit == 0)
     sub.smt_cell_limit = kAutoSmtCellGuard;
-  if (race && sub.probes == 1) sub.probes = 0;  // auto-width bound race
 
   SolveReport report =
       sub.strategy == "sap" ? solve_sap(sub) : solve_completion(sub);
   report.strategy = sub.strategy;
   report.add_telemetry("auto.selected", sub.strategy);
-  report.add_telemetry("auto.density", density);
-  report.add_telemetry("auto.tier", race ? "race" : "exact");
   return report;
 }
 
@@ -255,8 +222,8 @@ SolverRegistry SolverRegistry::with_builtins() {
   registry.add("completion", "don't-care-aware SAT minimization (masked "
                              "patterns)",
                solve_completion);
-  registry.add("auto", "portfolio: backend picked by fitted size/density "
-                       "cutoffs and don't-cares",
+  registry.add("auto", "portfolio: completion for patterns with don't-cares, "
+                       "sap under a 200-cell SMT guard otherwise",
                solve_auto);
   return registry;
 }

@@ -170,7 +170,7 @@ std::string binary_request_payload(const WireRequest& wire) {
   put_f64(out, wire.budget_seconds);
   put_i64(out, request.budget.max_conflicts);
   put_u64(out, request.budget.max_nodes);
-  put_u32(out, static_cast<std::uint32_t>(request.probes));
+  put_u32(out, 1);  // retired bound-race width; the slot keeps the layout
   put_u64(out, request.trials);
   put_u64(out, request.seed);
   put_u64(out, request.stop_at);
@@ -223,9 +223,8 @@ WireRequest parse_binary_request(const std::string& payload) {
       request.budget.max_conflicts > static_cast<std::int64_t>(9e15))
     in.fail("field 'conflicts' out of range");
   request.budget.max_nodes = in.u64();
-  const std::uint32_t probes = in.u32();
-  if (probes > 4096) in.fail("field 'probes' out of range");
-  request.probes = probes;
+  // Retired bound-race width: still range-checked, then ignored.
+  if (in.u32() > 4096) in.fail("field 'probes' out of range");
   request.trials = static_cast<std::size_t>(in.u64());
   if (request.trials < 1 || request.trials > 1000000000)
     in.fail("field 'trials' out of range");

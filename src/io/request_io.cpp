@@ -248,9 +248,8 @@ WireRequest parse_wire_request(const std::string& line) {
   request.budget.max_nodes = static_cast<std::uint64_t>(
       number_field(document, "nodes", 0.0, 0.0, 9e15));
 
-  // SMT bound-race width: 1 = sequential, 0 = auto (hardware threads).
-  request.probes = static_cast<std::size_t>(
-      number_field(document, "probes", 1.0, 0.0, 4096.0));
+  // Retired SMT bound-race width: still range-checked, then ignored.
+  number_field(document, "probes", 1.0, 0.0, 4096.0);
 
   request.trials = static_cast<std::size_t>(
       number_field(document, "trials", 100.0, 1.0, 1e9));
@@ -416,7 +415,6 @@ std::string wire_request_json(const WireRequest& wire) {
     out << ",\"conflicts\":" << request.budget.max_conflicts;
   if (request.budget.max_nodes > 0)
     out << ",\"nodes\":" << request.budget.max_nodes;
-  if (request.probes != 1) out << ",\"probes\":" << request.probes;
   if (request.trials != 100) out << ",\"trials\":" << request.trials;
   if (request.seed != 1) out << ",\"seed\":" << request.seed;
   if (request.stop_at != 0) out << ",\"stop_at\":" << request.stop_at;

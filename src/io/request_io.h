@@ -14,9 +14,9 @@
 ///  "label": "patch-17",             // echoed into the report
 ///  "budget": 2.5,                   // per-request deadline, seconds
 ///  "conflicts": 20000,              // SAT conflict cap per decision call
-///  "nodes": 0,                      // local move cap (0 = unlimited)
-///  "probes": 1,                     // SMT bound-race width (1 =
-///                                   // sequential, 0 = hardware threads)
+///  "nodes": 0,                      // search-node cap (0 = unlimited)
+///  "probes": 1,                     // accepted (0..4096) and ignored: the
+///                                   // retired SMT bound-race width
 ///  "trials": 100, "seed": 1, "stop_at": 0,
 ///  "encoding": "onehot",            // or "binary"
 ///  "symmetry_breaking": true,

@@ -25,10 +25,6 @@ const char* event_name(EventCode code) noexcept {
       return "sat.reduce_db";
     case EventCode::SatArenaGc:
       return "sat.arena_gc";
-    case EventCode::SmtWaveLaunch:
-      return "smt.wave_launch";
-    case EventCode::SmtWaveRetire:
-      return "smt.wave_retire";
     case EventCode::CacheEvict:
       return "cache.evict";
     case EventCode::PoolReconnect:

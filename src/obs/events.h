@@ -6,7 +6,7 @@
 ///
 /// PR 7's spans and histograms answer "how slow"; the flight recorder
 /// answers "why": the last few hundred SAT restarts, learnt-DB reductions,
-/// arena GCs, bound-race wave launches, cache evictions, and pool
+/// arena GCs, cache evictions, and pool
 /// reconnects that led up to a slow or budget-cut reply. The record stream
 /// is snapshotted into slow-request log lines, spliced onto
 /// budget-exhausted replies, and queryable on demand via the
@@ -48,8 +48,8 @@ enum class EventCode : std::uint16_t {
   SatConflicts = 2,  ///< Per-solve flush: a = conflicts, b = propagations.
   SatReduceDb = 3,   ///< a = clauses deleted, b = learnts kept.
   SatArenaGc = 4,    ///< a = arena bytes before, b = bytes after.
-  SmtWaveLaunch = 5, ///< a = wave ordinal, b = smallest bound probed.
-  SmtWaveRetire = 6, ///< a = wave ordinal, b = best depth after the wave.
+  // 5-8 belonged to emitters since removed; they are not reused, so a
+  // recorded dump keeps its meaning.
   CacheEvict = 9,    ///< a = bytes freed, b = entries remaining.
   PoolReconnect = 10,///< a = endpoint hash, b = failures so far.
 };

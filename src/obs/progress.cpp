@@ -17,13 +17,12 @@ std::string progress_frame_json(const ProgressFrame& frame) {
   std::snprintf(buf, sizeof buf,
                 "{\"progress\":true,\"seq\":%llu,\"seconds\":%.3f,"
                 "\"incumbent_depth\":%llu,\"lower_bound\":%llu,\"gap\":%llu,"
-                "\"conflicts\":%llu,\"wave\":%llu",
+                "\"conflicts\":%llu",
                 static_cast<unsigned long long>(frame.seq), frame.seconds,
                 static_cast<unsigned long long>(frame.incumbent_depth),
                 static_cast<unsigned long long>(frame.lower_bound),
                 static_cast<unsigned long long>(frame.gap),
-                static_cast<unsigned long long>(frame.conflicts),
-                static_cast<unsigned long long>(frame.wave));
+                static_cast<unsigned long long>(frame.conflicts));
   std::string out = buf;
   if (!frame.phase.empty()) {
     out += ",\"phase\":\"" + io::json::escape(frame.phase) + "\"";

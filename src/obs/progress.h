@@ -1,14 +1,14 @@
 #pragma once
 /// \file progress.h
 /// \brief Live solve progress (`ebmf::obs`): the `ProgressSink` a strategy
-/// publishes `{incumbent_depth, lower_bound, gap, conflicts, wave}` frames
+/// publishes `{incumbent_depth, lower_bound, gap, conflicts}` frames
 /// into mid-solve, and watchers subscribe to.
 ///
 /// The sink travels inside `Budget` (support/budget.h), so every backend
 /// that already honours the shared budget can publish without new plumbing:
 /// SAP (smt/sap.h) publishes the whole pattern's certified bracket once
-/// every component is bracketed, again whenever a SAT or UNSAT answer (or a
-/// retired bound-race wave) narrows it, and once at the end. The server
+/// every component is bracketed, again whenever a SAT or UNSAT answer
+/// narrows it, and once at the end. The server
 /// registers the sink of each in-flight request under its wire id;
 /// `{"op":"watch","id":N}` runs a stream thread that waits on the sink and
 /// sends one JSONL frame per publish until the solve finishes.
@@ -31,8 +31,7 @@ struct ProgressFrame {
   std::uint64_t lower_bound = 0;      ///< Best certified lower bound.
   std::uint64_t gap = 0;          ///< incumbent_depth - lower_bound (0 floor).
   std::uint64_t conflicts = 0;    ///< SAT conflicts so far (0 when n/a).
-  std::uint64_t wave = 0;         ///< Bound-race wave ordinal (0 when n/a).
-  std::string phase;              ///< "seed", "search", "wave", "final".
+  std::string phase;              ///< "seed", "search", "final".
 };
 
 /// Render one frame as a JSON object (the watch stream's line body).

@@ -64,7 +64,6 @@ struct SolverStats {
 ///
 /// Copyable: all state lives in flat value containers, so a copy is an
 /// independent solver with the same clauses, learnt set, and activities.
-/// The SAP bound race clones a solved-up formula per probe this way.
 class Solver {
  public:
   Solver();

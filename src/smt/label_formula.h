@@ -27,7 +27,6 @@
 /// is `narrow()`, which forbids the top label without rebuilding anything.
 
 #include <cstdint>
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -71,17 +70,8 @@ class LabelFormula {
   LabelFormula(const BinaryMatrix& m, std::size_t initial_bound,
                const EncoderOptions& options = {});
 
+  LabelFormula(const LabelFormula&) = delete;
   LabelFormula& operator=(const LabelFormula&) = delete;
-
-  /// Deep copy: an independent formula + solver with the same clauses,
-  /// bound, and learnt state. Thread-safe against other concurrent clone()
-  /// calls on the same (un-mutated) source — the SAP bound race clones one
-  /// base formula per probe and narrows each clone to its own bound. The
-  /// copy is a handful of flat-buffer copies (the solver's clause arena is
-  /// one contiguous block), far cheaper than re-encoding the matrix.
-  [[nodiscard]] std::unique_ptr<LabelFormula> clone() const {
-    return std::unique_ptr<LabelFormula>(new LabelFormula(*this));
-  }
 
   /// Current bound b.
   [[nodiscard]] std::size_t bound() const noexcept { return bound_; }
@@ -109,8 +99,6 @@ class LabelFormula {
   [[nodiscard]] sat::Cnf export_cnf() const;
 
  private:
-  LabelFormula(const LabelFormula&) = default;  // via clone()
-
   void build_onehot();
   void build_binary();
   void forbid_label_onehot(std::size_t t);

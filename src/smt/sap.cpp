@@ -2,14 +2,9 @@
 
 #include <algorithm>
 #include <atomic>
-#include <memory>
-#include <mutex>
-#include <thread>
 
 #include "core/fooling.h"
 #include "core/preprocess.h"
-#include "engine/thread_pool.h"
-#include "obs/events.h"
 #include "support/stopwatch.h"
 
 namespace ebmf {
@@ -26,16 +21,9 @@ void accumulate_stats(sat::SolverStats& into, const sat::SolverStats& from) {
   into.minimized_literals += from.minimized_literals;
   into.deleted_clauses += from.deleted_clauses;
   into.arena_gcs += from.arena_gcs;
-  // A footprint gauge, not a counter: report the largest solver arena seen
-  // (summing probe clones would over-count the same formula many times).
+  // A footprint gauge, not a counter: report the largest solver arena seen.
   into.arena_bytes = std::max(into.arena_bytes, from.arena_bytes);
 }
-
-/// Hard ceiling on the race width: every probe owns a full formula clone
-/// and a transient thread, and a service can have many requests in flight
-/// at once, so an unbounded client-supplied width must not translate into
-/// unbounded threads.
-constexpr std::size_t kMaxProbes = 64;
 
 /// Estimated seconds per encoding work unit. Both encoders emit
 /// Θ(cells²·bound) clauses (Eq. 4 per cross pair, per label or bit), and
@@ -122,15 +110,6 @@ std::uint64_t fooling_nodes(std::size_t cells) {
   return kFoolingNodes * 64 / words;
 }
 
-/// Race width: 0 means "hardware threads"; always clamped to kMaxProbes.
-std::size_t resolve_probes(std::size_t requested) {
-  if (requested == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    requested = hw == 0 ? 1 : static_cast<std::size_t>(hw);
-  }
-  return std::min(requested, kMaxProbes);
-}
-
 /// Live progress (obs/progress.h) over the whole pattern: the bracket
 /// summed over every component, republished each time one component's SAT
 /// or UNSAT answer narrows its own. r_B is additive over components, so a
@@ -142,8 +121,7 @@ struct Progress {
   std::size_t lower = 0;  ///< Sum of their certified lower bounds.
   std::uint64_t conflicts = 0;  ///< Of the components already searched.
 
-  void publish(const char* phase, std::uint64_t more_conflicts = 0,
-               std::uint64_t wave = 0) const {
+  void publish(const char* phase, std::uint64_t more_conflicts = 0) const {
     if (!budget.progress) return;
     obs::ProgressFrame frame;
     frame.seconds = clock.seconds();
@@ -151,13 +129,13 @@ struct Progress {
     frame.lower_bound = lower;
     frame.gap = upper > lower ? upper - lower : 0;
     frame.conflicts = conflicts + more_conflicts;
-    frame.wave = wave;
     frame.phase = phase;
     budget.publish_progress(std::move(frame));
   }
 };
 
-/// The paper's sequential decreasing-b loop (Algorithm 1, lines 2-10),
+/// SMT phase on one bracketed matrix: the paper's sequential decreasing-b
+/// loop (Algorithm 1, lines 2-10) on one incrementally narrowed formula,
 /// stopping at the certified lower bound.
 /// Preconditions: partition non-optimal, budget not exhausted.
 void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
@@ -204,145 +182,8 @@ void smt_phase_sequential(const BinaryMatrix& m, const SapOptions& options,
     if (options.budget.exhausted()) break;
   }
   accumulate_stats(result.smt_stats, formula.solver().stats());
-}
-
-/// One probe of the bound race.
-struct Probe {
-  std::size_t bound = 0;
-  sat::SolveResult answer = sat::SolveResult::Unknown;
-  Partition partition;  ///< Valid when answer == Sat.
-  /// The probe's formula, kept so a SAT winner's learnt clauses can seed
-  /// the next wave's base instead of re-deriving them from scratch.
-  std::unique_ptr<smt::LabelFormula> formula;
-  double seconds = 0.0;
-  sat::SolverStats stats;
-  Budget budget;  ///< Per-probe cancellable budget.
-  bool cancelled_by_rival = false;
-  bool finished = false;
-};
-
-/// The parallel bound race: each wave clones the base formula once per
-/// probe and decides "r_B ≤ b" for the `width` highest unresolved bounds
-/// concurrently. Monotonicity makes cross-cancellation sound — a SAT answer
-/// yielding a partition of size s makes every probe at bound ≥ s redundant
-/// (their SAT is implied), and an UNSAT at b makes every probe at bound ≤ b
-/// futile (their UNSAT is implied) — so winners retire losers through the
-/// per-probe cancellation flags and the wave joins quickly. The merge reads
-/// outcomes in bound order, never finish order, so the resulting bracket
-/// (and, given enough budget, the final depth/status) is deterministic.
-void smt_phase_race(const BinaryMatrix& m, const SapOptions& options,
-                    std::size_t probes, SapResult& result,
-                    Progress& progress) {
-  Stopwatch phase;
-  std::size_t hi = result.partition.size();  // best certified upper bound
-  std::size_t cert_lo = result.certified_lower;  // best certified lower bound
-  EBMF_ASSERT(hi >= cert_lo + 1);
-  auto base =
-      std::make_unique<smt::LabelFormula>(m, hi - 1, options.encoder);
-  result.status = SapStatus::BoundedOnly;
-  result.probes_used = probes;
-
-  while (hi > cert_lo && !options.budget.exhausted()) {
-    const std::size_t wave_hi = hi, wave_lo = cert_lo;
-    const std::size_t width = std::min(probes, hi - cert_lo);
-    obs::emit_event(obs::EventCode::SmtWaveLaunch, result.probe_waves + 1,
-                    hi - width);
-    std::vector<Probe> wave(width);
-    for (std::size_t i = 0; i < width; ++i) {
-      wave[i].bound = hi - 1 - i;
-      wave[i].budget = options.budget;
-      // Keep the caller's cancellation reachable while giving the race its
-      // own per-probe retirement flag.
-      wave[i].budget.also_cancel = options.budget.cancel;
-      wave[i].budget.cancel = std::make_shared<std::atomic<bool>>(false);
-    }
-
-    std::mutex mutex;
-    std::size_t wave_best = hi;  // smallest SAT partition size this wave
-
-    const auto run_probe = [&](std::size_t i) {
-      Stopwatch sw;
-      std::unique_ptr<smt::LabelFormula> formula = base->clone();
-      if (wave[i].bound < formula->bound()) formula->narrow(wave[i].bound);
-      const sat::SolveResult answer = formula->solve(wave[i].budget);
-      Partition p;
-      if (answer == sat::SolveResult::Sat) p = formula->extract_partition();
-
-      const std::lock_guard<std::mutex> lock(mutex);
-      wave[i].answer = answer;
-      wave[i].seconds = sw.seconds();
-      wave[i].stats = formula->solver().stats();
-      wave[i].formula = std::move(formula);
-      wave[i].finished = true;
-      if (answer == sat::SolveResult::Sat) {
-        wave[i].partition = std::move(p);
-        wave_best = std::min(wave_best, wave[i].partition.size());
-        for (Probe& rival : wave) {
-          if (!rival.finished && rival.bound >= wave_best) {
-            rival.budget.request_cancel();
-            rival.cancelled_by_rival = true;
-          }
-        }
-      } else if (answer == sat::SolveResult::Unsat) {
-        for (Probe& rival : wave) {
-          if (!rival.finished && rival.bound <= wave[i].bound) {
-            rival.budget.request_cancel();
-            rival.cancelled_by_rival = true;
-          }
-        }
-      }
-    };
-
-    // One worker per probe through the engine's fork-join pool (width is
-    // already clamped to kMaxProbes).
-    engine::parallel_for(width, width, run_probe);
-
-    // Deterministic merge: outcomes are read highest bound first.
-    ++result.probe_waves;
-    result.probe_calls += width;
-    bool moved = false;
-    Probe* winner = nullptr;
-    for (Probe& probe : wave) {
-      result.smt_calls.push_back(
-          SapSmtCall{probe.bound, probe.answer, probe.seconds});
-      accumulate_stats(result.smt_stats, probe.stats);
-      if (probe.answer == sat::SolveResult::Sat) {
-        EBMF_ENSURES(probe.partition.size() <= probe.bound);
-        EBMF_ENSURES(
-            static_cast<bool>(validate_partition(m, probe.partition)));
-        if (probe.partition.size() < hi) {
-          hi = probe.partition.size();
-          result.partition = std::move(probe.partition);
-          winner = &probe;
-          moved = true;
-        }
-      } else if (probe.answer == sat::SolveResult::Unsat) {
-        cert_lo = std::max(cert_lo, probe.bound + 1);
-        moved = true;
-      } else if (probe.cancelled_by_rival) {
-        ++result.probes_cancelled;
-      }
-    }
-    // Seed the next wave from the SAT winner's solved formula: its learnt
-    // clauses and activities carry over instead of every wave restarting
-    // from the pristine base. (UNSAT formulas are never adopted — their
-    // solver is in a terminal conflict state.)
-    if (winner != nullptr) base = std::move(winner->formula);
-    obs::emit_event(obs::EventCode::SmtWaveRetire, result.probe_waves, hi);
-    // One frame per retired wave, carrying the merged bracket.
-    progress.upper -= wave_hi - hi;
-    progress.lower += cert_lo - wave_lo;
-    progress.publish("wave", result.smt_stats.conflicts, result.probe_waves);
-    // Every probe Unknown with no rival to blame: the shared budget (or a
-    // per-call conflict cap) ran dry — keep the bracket and stop.
-    if (!moved) break;
-  }
-
-  if (hi <= cert_lo) result.status = SapStatus::Optimal;
-  // Keep the tightest certified lower bound even when the budget ran out
-  // before the bracket closed — an UNSAT probe's proof must not be lost.
-  result.certified_lower = std::max(result.certified_lower, cert_lo);
-  result.smt_seconds += phase.seconds();
+  progress.conflicts += result.smt_stats.conflicts;
+  EBMF_ENSURES(result.partition.size() >= result.rank_lower);
 }
 
 /// Algorithm 1's bracket on one irreducible matrix: the rank ladder below,
@@ -424,22 +265,6 @@ bool sap_bracket(const BinaryMatrix& m, const SapOptions& options,
          !options.budget.exhausted();
 }
 
-/// SMT phase on one bracketed matrix: query r_B(M) <= b for decreasing b
-/// (Algorithm 1, lines 2-10). With a race width > 1 and at least two
-/// unresolved bounds, the decreasing-b probes run concurrently; otherwise
-/// the sequential loop (which also reuses one incrementally-narrowed
-/// formula) is the better fit.
-void sap_search(const BinaryMatrix& m, const SapOptions& options,
-                SapResult& result, Progress& progress) {
-  const std::size_t probes = resolve_probes(options.probes);
-  if (probes >= 2 && result.partition.size() >= result.certified_lower + 2)
-    smt_phase_race(m, options, probes, result, progress);
-  else
-    smt_phase_sequential(m, options, result, progress);
-  progress.conflicts += result.smt_stats.conflicts;
-  EBMF_ENSURES(result.partition.size() >= result.rank_lower);
-}
-
 }  // namespace
 
 SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
@@ -471,7 +296,7 @@ SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
   }
   progress.publish("seed");
   for (std::size_t c = 0; c < pieces; ++c)
-    if (open[c]) sap_search(piece(c), options, subs[c], progress);
+    if (open[c]) smt_phase_sequential(piece(c), options, subs[c], progress);
   progress.publish("final");
 
   if (!options.preprocess) {
@@ -500,10 +325,6 @@ SapResult sap_solve(const BinaryMatrix& m, const SapOptions& options) {
     aggregate.smt_calls.insert(aggregate.smt_calls.end(),
                                sub.smt_calls.begin(), sub.smt_calls.end());
     accumulate_stats(aggregate.smt_stats, sub.smt_stats);
-    aggregate.probes_used = std::max(aggregate.probes_used, sub.probes_used);
-    aggregate.probe_waves += sub.probe_waves;
-    aggregate.probe_calls += sub.probe_calls;
-    aggregate.probes_cancelled += sub.probes_cancelled;
     // A budget-cut piece leaves the whole answer budget-dependent, so
     // BoundedOnly outranks HeuristicOnly.
     if (sub.status == SapStatus::BoundedOnly ||

@@ -21,8 +21,8 @@
 /// degrades the optimality certificate, never the solution's validity.
 /// Steps 1–4 run on every component before any SAT call; with a progress
 /// sink on the budget, sap_solve publishes the whole pattern's bracket
-/// then ("seed"), on every SAT or UNSAT answer that narrows it ("search",
-/// or "wave" per retired race wave), and once at the end ("final").
+/// then ("seed"), on every SAT or UNSAT answer that narrows it ("search"),
+/// and once at the end ("final").
 
 #include <cstdint>
 #include <vector>
@@ -59,13 +59,9 @@ struct SapOptions {
   /// independently. Never changes the answer; often shrinks the SMT
   /// formula enough to make sparse 100×100 instances exactly solvable.
   bool preprocess = true;
-  /// Width of the parallel bound race in the SMT phase. 1 = the paper's
-  /// sequential decreasing-b loop; k > 1 races probes for bounds
-  /// b, b-1, …, b-k+1 concurrently (each on a clone of the formula), a SAT
-  /// answer cancels the probes it makes redundant and reseeds the race
-  /// below, an UNSAT answer certifies from below; 0 = auto (hardware
-  /// threads). The final (depth, status, bounds) answer matches the
-  /// sequential loop whenever the budget suffices to converge.
+  /// Ignored: the SMT phase is the paper's sequential decreasing-b loop.
+  /// The field once set the width of a parallel bound race; it stays
+  /// declared only until the benchmark harness stops assigning it.
   std::size_t probes = 1;
 };
 
@@ -83,8 +79,7 @@ struct SapResult {
   std::size_t rank_lower = 0;     ///< Eq. 3 rank ladder: ≤ rank_ℝ(M).
   /// Tightest certified lower bound on r_B: rank_lower, raised to the
   /// fooling set's size when that is larger, and to b+1 by every UNSAT
-  /// answer at bound b (the race can certify this even when the budget
-  /// expires before the bracket closes).
+  /// answer at bound b.
   std::size_t certified_lower = 0;
   std::size_t heuristic_size = 0; ///< |P| after the packing phase.
   /// Fooling set found before the SAT phase (0 = search not run).
@@ -96,12 +91,6 @@ struct SapResult {
   double total_seconds = 0.0;
   std::vector<SapSmtCall> smt_calls;
   sat::SolverStats smt_stats;     ///< Cumulative SAT search statistics.
-
-  // -- bound-race accounting (zero when the sequential loop ran) ---------
-  std::size_t probes_used = 0;       ///< Race width actually engaged.
-  std::size_t probe_waves = 0;       ///< Fork-join rounds of the race.
-  std::size_t probe_calls = 0;       ///< Probe solves launched in total.
-  std::size_t probes_cancelled = 0;  ///< Probes retired by a rival's answer.
 
   /// Depth of the addressing schedule = |partition|.
   [[nodiscard]] std::size_t depth() const noexcept { return partition.size(); }

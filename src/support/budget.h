@@ -40,11 +40,6 @@ struct Budget {
   std::uint64_t max_nodes = 0;      ///< Node/move cap (0 = unlimited).
   /// Optional shared stop flag; null means "not cancellable".
   std::shared_ptr<std::atomic<bool>> cancel;
-  /// Optional secondary stop flag, observed in addition to `cancel`. The
-  /// SAP bound race gives every probe its own `cancel` (so a winner can
-  /// retire just the redundant probes) while chaining the caller's original
-  /// flag here — a client disconnect still stops the whole race.
-  std::shared_ptr<std::atomic<bool>> also_cancel;
   /// Optional live-progress sink (obs/progress.h). Copies of a Budget
   /// share it — exactly like `cancel` — so a strategy can publish
   /// incumbent/gap frames mid-solve and the server's `{"op":"watch"}`
@@ -69,10 +64,9 @@ struct Budget {
     if (cancel) cancel->store(true, std::memory_order_relaxed);
   }
 
-  /// True when cancellation was requested on either flag.
+  /// True when cancellation was requested.
   [[nodiscard]] bool cancelled() const {
-    return (cancel && cancel->load(std::memory_order_relaxed)) ||
-           (also_cancel && also_cancel->load(std::memory_order_relaxed));
+    return cancel && cancel->load(std::memory_order_relaxed);
   }
 
   /// True when work should stop now (cancelled or past the deadline).
@@ -91,7 +85,7 @@ struct Budget {
   /// True when any finite limit is set.
   [[nodiscard]] bool limited() const {
     return deadline.limited() || max_conflicts >= 0 || max_nodes > 0 ||
-           cancel != nullptr || also_cancel != nullptr;
+           cancel != nullptr;
   }
 };
 

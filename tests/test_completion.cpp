@@ -136,6 +136,33 @@ TEST(Completion, SatDisabledStillValid) {
 // deadline check, so a dense pattern must be refused before encoding: the
 // reply is the packing bracket, in time, instead of seconds of encoding
 // (40×40) or an exhausted address space (60×60).
+// With no deadline, the same refusal comes from a fixed ceiling on the
+// formula's size: masked 60×60 (ones at 0.5, don't-cares at 5%) would need
+// about 11 GB of clauses and exhausted the address space.
+TEST(Completion, RefusesAFormulaPastItsMemoryCeilingWithNoDeadline) {
+  Rng rng(1);
+  MaskedMatrix m(60, 60);
+  for (std::size_t i = 0; i < 60; ++i)
+    for (std::size_t j = 0; j < 60; ++j) {
+      if (rng.uniform01() < 0.05)
+        m.set(i, j, Cell::DontCare);
+      else if (rng.uniform01() < 0.5)
+        m.set(i, j, Cell::One);
+    }
+  const auto r = solve_masked(m);
+  EXPECT_EQ(r.sat_calls, 0u);
+  EXPECT_FALSE(r.proven_optimal);
+  EXPECT_EQ(r.partition.size(), r.heuristic_size);
+  EXPECT_LT(r.lower_bound, r.partition.size());
+  EXPECT_TRUE(validate_masked(m, r.partition, false));
+
+  const engine::Engine engine;
+  const auto report =
+      engine.solve(engine::SolveRequest::with_mask(m, "auto"));
+  EXPECT_EQ(report.strategy, "completion");
+  EXPECT_EQ(report.status, engine::Status::Bounded);
+}
+
 TEST(Completion, KeepsToItsBudgetOnDensePatterns) {
   constexpr double kBudget = 1.0;
   const engine::Engine engine;

@@ -208,6 +208,23 @@ TEST(BinaryCodec, RequestRoundTripsThroughTheWire) {
                 wire.request.matrix.test(r, c));
 }
 
+TEST(BinaryCodec, ProbesSlotKeepsTheLayoutAndIsRangeChecked) {
+  // The retired bound-race width keeps its u32 slot after id (8), flags
+  // (4), strategy (4 + 3), label (4 + 0), budget, conflicts and nodes
+  // (8 each): written as 1, range-checked on read, then ignored.
+  const io::WireRequest wire = io::parse_wire_request(
+      R"({"pattern":"110;011","strategy":"sap","probes":4})");
+  std::string payload = io::binary_request_payload(wire);
+  constexpr std::size_t kSlot = 8 + 4 + 4 + 3 + 4 + 0 + 8 + 8 + 8;
+  ASSERT_GT(payload.size(), kSlot + 4);
+  EXPECT_EQ(payload.substr(kSlot, 4), std::string("\x01\0\0\0", 4));
+  payload[kSlot] = 4;
+  EXPECT_EQ(io::parse_binary_request(payload).request.probes, 1u);
+  payload[kSlot] = 0x01;
+  payload[kSlot + 1] = 0x10;  // 4097
+  EXPECT_THROW((void)io::parse_binary_request(payload), std::runtime_error);
+}
+
 TEST(BinaryCodec, MaskedRequestsHaveNoBinaryEncoding) {
   const io::WireRequest wire =
       io::parse_wire_request(R"({"pattern":"1*;01"})");

@@ -461,7 +461,7 @@ TEST(Events, RingWraparoundKeepsNewest) {
 }
 
 TEST(Events, SnapshotMergesThreadRingsAndRendersJson) {
-  emit_event(EventCode::SmtWaveRetire, 7, 1);
+  emit_event(EventCode::SatReduceDb, 7, 1);
   emit_event(EventCode::CacheEvict, 4096, 12);
   const std::vector<EventRecord> records = snapshot_events(256);
   ASSERT_GE(records.size(), 2u);
@@ -469,7 +469,7 @@ TEST(Events, SnapshotMergesThreadRingsAndRendersJson) {
   for (std::size_t i = 1; i < records.size(); ++i)
     EXPECT_GE(records[i].tick, records[i - 1].tick);
   const std::string json = events_json(records);
-  EXPECT_NE(json.find("\"event\":\"smt.wave_retire\""), std::string::npos);
+  EXPECT_NE(json.find("\"event\":\"sat.reduce_db\""), std::string::npos);
   EXPECT_NE(json.find("\"event\":\"cache.evict\""), std::string::npos);
   // The cap keeps the newest records: the single survivor is at least as
   // new as everything in the full snapshot.
@@ -522,14 +522,14 @@ TEST(Progress, PublishStampsSeqRetainsAndWakesWaiters) {
   frame.lower_bound = 7;
   frame.gap = 2;
   frame.conflicts = 41;
-  frame.wave = 2;
-  frame.phase = "wave";
+  frame.phase = "search";
   const std::string json = progress_frame_json(frame);
   for (const char* piece :
        {"\"progress\":true", "\"seq\":3", "\"incumbent_depth\":9",
-        "\"lower_bound\":7", "\"gap\":2", "\"conflicts\":41", "\"wave\":2",
-        "\"phase\":\"wave\""})
+        "\"lower_bound\":7", "\"gap\":2", "\"conflicts\":41",
+        "\"phase\":\"search\""})
     EXPECT_NE(json.find(piece), std::string::npos) << json;
+  EXPECT_EQ(json.find("\"wave\""), std::string::npos) << json;
 }
 
 TEST(Progress, RetainsOnlyNewestFramesForLateSubscribers) {

@@ -171,6 +171,19 @@ TEST(WireRequest, MalformedRequestsThrow) {
   }
 }
 
+TEST(WireRequest, ProbesFieldIsRangeCheckedAndIgnored) {
+  // The retired bound-race width: older clients still send it, so it
+  // parses and is range-checked as untrusted input, then dropped.
+  const auto wire =
+      parse_wire_request(R"({"pattern":"110;011","probes":4})");
+  EXPECT_EQ(wire.request.probes, 1u);
+  EXPECT_EQ(wire_request_json(wire).find("\"probes\""), std::string::npos);
+  for (const char* bad : {R"({"pattern":"110;011","probes":-1})",
+                          R"({"pattern":"110;011","probes":4097})",
+                          R"({"pattern":"110;011","probes":"all"})"})
+    EXPECT_THROW((void)parse_wire_request(bad), std::runtime_error) << bad;
+}
+
 TEST(WireRequest, JsonRoundTrips) {
   const std::string line =
       R"({"pattern": "1*;*1", "strategy": "completion", "label": "l",

@@ -6,12 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <thread>
+
 #include "benchgen/generators.h"
 #include "benchgen/suites.h"
 #include "core/fooling.h"
 #include "engine/engine.h"
 #include "oracle_ebmf.h"
 #include "support/rng.h"
+#include "support/stopwatch.h"
 
 namespace ebmf {
 namespace {
@@ -145,16 +149,38 @@ TEST(Sap, FoolingSetRaisesTheFloorOfTheSmtPhase) {
   Rng rng(3003);
   benchgen::GapInstance inst;
   for (int t = 0; t <= 14; ++t) inst = benchgen::gap_matrix(8, 8, 4, rng);
-  for (const std::size_t probes : {1u, 4u}) {
-    SapOptions options;
-    options.probes = probes;
-    const auto r = sap_solve(inst.matrix, options);
-    EXPECT_EQ(r.rank_lower, 5u);
-    EXPECT_EQ(r.fooling_size, 6u);
-    ASSERT_TRUE(r.proven_optimal());
-    EXPECT_EQ(r.depth(), 7u);
-    for (const auto& call : r.smt_calls) EXPECT_GE(call.bound, 6u);
-  }
+  const auto r = sap_solve(inst.matrix);
+  EXPECT_EQ(r.rank_lower, 5u);
+  EXPECT_EQ(r.fooling_size, 6u);
+  ASSERT_TRUE(r.proven_optimal());
+  EXPECT_EQ(r.depth(), 7u);
+  for (const auto& call : r.smt_calls) EXPECT_GE(call.bound, 6u);
+}
+
+TEST(Sap, CallerCancellationStopsTheSatPhasePromptly) {
+  // gap 14×14 k=5 (seed 3): one packing trial leaves the bracket [11, 12]
+  // after the fooling search, and the UNSAT answer at b = 11 takes well
+  // over a second. The caller's flag must stop that decision call. (Seed
+  // 1's fooling set closes its bracket with no SAT call at all.)
+  Rng rng(3);
+  const BinaryMatrix m = benchgen::gap_matrix(14, 14, 5, rng).matrix;
+  SapOptions options;
+  options.packing.trials = 1;
+  options.budget.cancellable();
+  Budget caller = options.budget;
+  std::thread canceller([&caller]() {
+    std::this_thread::sleep_for(std::chrono::milliseconds(120));
+    caller.request_cancel();
+  });
+  Stopwatch sw;
+  const SapResult result = sap_solve(m, options);
+  const double seconds = sw.seconds();
+  canceller.join();
+  // Anytime contract: a valid partition regardless of the cancellation.
+  EXPECT_TRUE(static_cast<bool>(validate_partition(m, result.partition)));
+  EXPECT_FALSE(result.smt_calls.empty());
+  EXPECT_EQ(result.status, SapStatus::BoundedOnly);
+  EXPECT_LT(seconds, 3.0);
 }
 
 TEST(Sap, LowerBoundNeverExceedsBruteForceOnSmallBenchgen) {

@@ -218,14 +218,5 @@ TEST(SatBudget, CancellationLandsPromptlyMidSolve) {
   EXPECT_LT(seconds, 1.0);
 }
 
-TEST(SatBudget, SecondaryCancelFlagStopsTheSolve) {
-  Solver s;
-  add_pigeonhole(s, 9);
-  Budget budget;
-  budget.also_cancel = std::make_shared<std::atomic<bool>>(true);
-  EXPECT_TRUE(budget.exhausted());
-  EXPECT_EQ(s.solve({}, budget), SolveResult::Unknown);
-}
-
 }  // namespace
 }  // namespace ebmf::sat
