@@ -41,7 +41,7 @@
 #include "obs/metrics.h"
 #include "router/router.h"
 #include "service/cache.h"
-#include "service/net.h"
+#include "net/net.h"
 #include "service/service.h"
 #include "support/rng.h"
 #include "support/stopwatch.h"
@@ -249,7 +249,7 @@ int run_connections_suite(const ebmf::bench::Options& opt,
     router = std::make_unique<ebmf::router::Router>(ro);
     router->start();
     port = router->port();
-  } else if (!ebmf::service::net::parse_endpoint(
+  } else if (!ebmf::net::parse_endpoint(
                  connect.substr(0, connect.find(',')), host, port)) {
     std::fprintf(stderr, "bad --connect endpoint '%s'\n", connect.c_str());
     return 2;
@@ -423,24 +423,13 @@ int main(int argc, char** argv) {
     // --connect takes a comma-separated address list (routers and/or
     // backends); the Client fails over across it.
     std::vector<std::string> endpoints;
-    std::size_t start = 0;
-    while (start <= connect.size()) {
-      std::size_t comma = connect.find(',', start);
-      if (comma == std::string::npos) comma = connect.size();
-      const std::string entry = connect.substr(start, comma - start);
-      std::string host;
-      std::uint16_t port = 0;
-      if (!entry.empty()) {
-        if (!ebmf::service::net::parse_endpoint(entry, host, port)) {
-          std::fprintf(stderr,
-                       "bad --connect endpoint '%s' (want host:port"
-                       "[,host:port...])\n",
-                       entry.c_str());
-          return 2;
-        }
-        endpoints.push_back(entry);
-      }
-      start = comma + 1;
+    std::string bad;
+    if (!ebmf::net::parse_endpoint_list(connect, endpoints, &bad)) {
+      std::fprintf(stderr,
+                   "bad --connect endpoint '%s' (want host:port"
+                   "[,host:port...])\n",
+                   bad.c_str());
+      return 2;
     }
     try {
       client = std::make_unique<ebmf::service::Client>(endpoints);

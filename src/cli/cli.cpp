@@ -27,7 +27,7 @@
 #include "obs/trace.h"
 #include "router/router.h"
 #include "sat/dimacs.h"
-#include "service/net.h"
+#include "net/net.h"
 #include "service/service.h"
 #include "smt/label_formula.h"
 
@@ -578,27 +578,19 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
   options.slow_log = args.get("slow-log", "");
   options.trace_file = args.get("trace-file", "");
   bool endpoints_ok = true;
-  std::string endpoint_host;
-  std::uint16_t endpoint_port = 0;
   // --announce takes a comma-separated router list (a fleet is announced
   // to in full); every entry must be a dialable host:port.
-  std::size_t announce_start = 0;
-  while (announce_start < options.announce.size()) {
-    std::size_t comma = options.announce.find(',', announce_start);
-    if (comma == std::string::npos) comma = options.announce.size();
-    const std::string entry =
-        options.announce.substr(announce_start, comma - announce_start);
-    if (!entry.empty() && !service::net::parse_endpoint(entry, endpoint_host,
-                                                        endpoint_port)) {
-      err << "error: bad --announce endpoint '" << entry
-          << "' (want host:port[,host:port...])\n";
-      endpoints_ok = false;
-    }
-    announce_start = comma + 1;
+  std::vector<std::string> routers;
+  std::string bad;
+  if (!net::parse_endpoint_list(options.announce, routers, &bad)) {
+    err << "error: bad --announce endpoint '" << bad
+        << "' (want host:port[,host:port...])\n";
+    endpoints_ok = false;
   }
+  std::string endpoint_host;
+  std::uint16_t endpoint_port = 0;
   if (!options.advertise.empty() &&
-      !service::net::parse_endpoint(options.advertise, endpoint_host,
-                                    endpoint_port)) {
+      !net::parse_endpoint(options.advertise, endpoint_host, endpoint_port)) {
     err << "error: bad --advertise endpoint '" << options.advertise
         << "' (want host:port)\n";
     endpoints_ok = false;
@@ -634,17 +626,12 @@ int cmd_serve(const Args& args, std::ostream& out, std::ostream& err) {
 /// positionals are the ergonomic spelling).
 int cmd_route(const Args& args, std::ostream& out, std::ostream& err) {
   router::RouterOptions options;
-  for (const auto& endpoint : args.positional)
-    options.backends.push_back(endpoint);
-  const std::string joined = args.get("backends", "");
-  std::size_t start = 0;
-  while (start < joined.size()) {
-    std::size_t comma = joined.find(',', start);
-    if (comma == std::string::npos) comma = joined.size();
-    if (comma > start)
-      options.backends.push_back(joined.substr(start, comma - start));
-    start = comma + 1;
-  }
+  std::string backends;
+  for (const auto& endpoint : args.positional) backends += endpoint + ",";
+  backends += args.get("backends", "");
+  std::string bad_backend;
+  const bool backends_ok =
+      net::parse_endpoint_list(backends, options.backends, &bad_backend);
 
   FlagReader flags(args);
   const auto port = flags.count("listen", 7500);
@@ -663,15 +650,9 @@ int cmd_route(const Args& args, std::ostream& out, std::ostream& err) {
   options.dynamic = args.has("dynamic");
   // --peers: fellow routers of an HA fleet (comma-separated, this router
   // excluded). Non-empty turns on leader-lease arbitration + state sync.
-  const std::string peers = args.get("peers", "");
-  std::size_t peer_start = 0;
-  while (peer_start < peers.size()) {
-    std::size_t comma = peers.find(',', peer_start);
-    if (comma == std::string::npos) comma = peers.size();
-    if (comma > peer_start)
-      options.peers.push_back(peers.substr(peer_start, comma - peer_start));
-    peer_start = comma + 1;
-  }
+  std::string bad_peer;
+  const bool peers_ok =
+      net::parse_endpoint_list(args.get("peers", ""), options.peers, &bad_peer);
   options.advertise = args.get("advertise", "");
   options.lease_ttl_ms = flags.num("lease-ttl-ms", 1500.0);
   options.sync_interval_ms = flags.num("sync-interval-ms", 0.0);
@@ -700,33 +681,22 @@ int cmd_route(const Args& args, std::ostream& out, std::ostream& err) {
            "[--slow-log=PATH] [--trace-file=PATH]\n";
     return 2;
   }
-  for (const auto& endpoint : options.backends) {
-    std::string host;
-    std::uint16_t backend_port = 0;
-    if (!service::net::parse_endpoint(endpoint, host, backend_port)) {
-      err << "error: bad backend endpoint '" << endpoint
-          << "' (want host:port)\n";
-      return 2;
-    }
+  if (!backends_ok) {
+    err << "error: bad backend endpoint '" << bad_backend
+        << "' (want host:port)\n";
+    return 2;
   }
-  for (const auto& endpoint : options.peers) {
-    std::string host;
-    std::uint16_t peer_port = 0;
-    if (!service::net::parse_endpoint(endpoint, host, peer_port)) {
-      err << "error: bad peer endpoint '" << endpoint
-          << "' (want host:port)\n";
-      return 2;
-    }
+  if (!peers_ok) {
+    err << "error: bad peer endpoint '" << bad_peer << "' (want host:port)\n";
+    return 2;
   }
-  if (!options.advertise.empty()) {
-    std::string host;
-    std::uint16_t advertise_port = 0;
-    if (!service::net::parse_endpoint(options.advertise, host,
-                                      advertise_port)) {
-      err << "error: bad --advertise endpoint '" << options.advertise
-          << "' (want host:port)\n";
-      return 2;
-    }
+  std::string host;
+  std::uint16_t advertise_port = 0;
+  if (!options.advertise.empty() &&
+      !net::parse_endpoint(options.advertise, host, advertise_port)) {
+    err << "error: bad --advertise endpoint '" << options.advertise
+        << "' (want host:port)\n";
+    return 2;
   }
   options.port = static_cast<std::uint16_t>(port);
   // Blocks until SIGTERM/SIGINT, then drains and reports.
@@ -774,22 +744,11 @@ bool client_endpoints(const Args& args, std::uint64_t port, std::ostream& err,
                         std::to_string(port));
     return true;
   }
-  std::size_t start = 0;
-  while (start <= connect.size()) {
-    std::size_t comma = connect.find(',', start);
-    if (comma == std::string::npos) comma = connect.size();
-    const std::string entry = connect.substr(start, comma - start);
-    std::string host;
-    std::uint16_t parsed_port = 0;
-    if (!entry.empty()) {
-      if (!service::net::parse_endpoint(entry, host, parsed_port)) {
-        err << "error: bad --connect endpoint '" << entry
-            << "' (want host:port[,host:port...])\n";
-        return false;
-      }
-      endpoints.push_back(entry);
-    }
-    start = comma + 1;
+  std::string bad;
+  if (!net::parse_endpoint_list(connect, endpoints, &bad)) {
+    err << "error: bad --connect endpoint '" << bad
+        << "' (want host:port[,host:port...])\n";
+    return false;
   }
   if (endpoints.empty()) {
     err << "error: --connect lists no endpoints\n";
@@ -1093,7 +1052,7 @@ int cmd_client(const Args& args, std::ostream& out, std::ostream& err) {
     // measure the fast wire.
     std::string host;
     std::uint16_t client_port = 0;
-    if (!service::net::parse_endpoint(endpoints[0], host, client_port)) {
+    if (!net::parse_endpoint(endpoints[0], host, client_port)) {
       err << "error: bad endpoint '" << endpoints[0] << "'\n";
       return 2;
     }
@@ -1348,7 +1307,7 @@ int cmd_top(const Args& args, std::ostream& out, std::ostream& err) {
   std::string host;
   std::uint16_t port = 0;
   if (!flags.valid(err) || watch < 0 || connect.empty() ||
-      !service::net::parse_endpoint(connect, host, port)) {
+      !net::parse_endpoint(connect, host, port)) {
     err << "usage: ebmf top --connect=HOST:PORT [--watch=SECONDS] "
            "[--fleet]\n";
     return 2;

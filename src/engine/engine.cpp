@@ -38,15 +38,13 @@ bool strictly_better(const SolveReport& a, const SolveReport& b) {
 
 /// Settle the anytime fields once upper_bound is final. Establishes the
 /// report contract: a matching bracket promotes to Optimal, Optimal pins
-/// lower == upper, incumbent_depth defaults to the final depth, and
-/// gap == upper − lower — so gap == 0 iff the answer is certified optimal
+/// lower == upper, and gap == upper − lower — so gap == 0 iff the answer is certified optimal
 /// for every solve that produced a partition.
 void finalize_anytime(SolveReport& report) {
   if (!report.partition.empty() &&
       report.lower_bound == report.upper_bound)
     report.status = Status::Optimal;
   if (report.status == Status::Optimal) report.lower_bound = report.upper_bound;
-  if (report.incumbent_depth == 0) report.incumbent_depth = report.upper_bound;
   report.gap = report.upper_bound > report.lower_bound
                    ? report.upper_bound - report.lower_bound
                    : 0;

@@ -169,11 +169,9 @@ struct SolveReport {
   std::string strategy;  ///< Strategy that produced the partition.
   Status status = Status::Heuristic;
   std::size_t lower_bound = 0;  ///< Proven lower bound on r_B (0 = none).
-  std::size_t upper_bound = 0;  ///< |partition| (filled by the engine).
-  /// Depth of the best incumbent the backend produced, i.e. the final
-  /// depth. The engine defaults it to upper_bound when a strategy leaves it
-  /// unset.
-  std::size_t incumbent_depth = 0;
+  /// |partition| (filled by the engine): the depth of the best incumbent.
+  /// Replies still carry it a second time as `incumbent_depth`.
+  std::size_t upper_bound = 0;
   /// Certified optimality gap: upper_bound − lower_bound, clamped at 0.
   /// Invariant (engine-finalized): gap == 0 iff status == Optimal for any
   /// solve that produced a partition.

@@ -172,7 +172,8 @@ std::string to_json(const SolveReport& report) {
   append_count(",\"depth\":", report.depth());
   append_count(",\"lower_bound\":", report.lower_bound);
   append_count(",\"upper_bound\":", report.upper_bound);
-  append_count(",\"incumbent_depth\":", report.incumbent_depth);
+  // The retired incumbent_depth key stays on the wire, equal to the depth.
+  append_count(",\"incumbent_depth\":", report.upper_bound);
   append_count(",\"gap\":", report.gap);
   out += ",\"total_seconds\":";
   out += json_number(report.total_seconds);

@@ -297,7 +297,7 @@ std::string binary_report_payload(const engine::SolveReport& report,
                                                          : 2);
   put_u64(out, report.lower_bound);
   put_u64(out, report.upper_bound);
-  put_u64(out, report.incumbent_depth);
+  put_u64(out, report.upper_bound);  // the retired incumbent_depth slot
   put_u64(out, report.gap);
   put_f64(out, report.total_seconds);
   put_u32(out, static_cast<std::uint32_t>(report.timings.size()));
@@ -340,7 +340,8 @@ BinaryReply parse_binary_report(const std::string& payload) {
                                 : engine::Status::Heuristic;
   report.lower_bound = static_cast<std::size_t>(in.u64());
   report.upper_bound = static_cast<std::size_t>(in.u64());
-  report.incumbent_depth = static_cast<std::size_t>(in.u64());
+  // The retired incumbent_depth slot: range-checked, then dropped.
+  if (in.u64() > kMaxDim) in.fail("field 'incumbent_depth' out of range");
   report.gap = static_cast<std::size_t>(in.u64());
   report.total_seconds = in.f64();
   const std::uint32_t n_timings = in.u32();

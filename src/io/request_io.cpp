@@ -527,12 +527,11 @@ engine::SolveReport parse_wire_response(const json::Value& document,
     fail_response("missing bounds");
   report.lower_bound = count_field(*lower, "lower_bound");
   report.upper_bound = count_field(*upper, "upper_bound");
-  // Anytime fields: absent in pre-anytime peers' lines, so default rather
-  // than fail — incumbent_depth to the final depth, gap to the bracket.
-  report.incumbent_depth = report.upper_bound;
+  // `incumbent_depth` repeats upper_bound: checked, then dropped. The gap
+  // is absent in pre-anytime peers' lines, so it defaults to the bracket.
   if (const json::Value* incumbent = document.find("incumbent_depth");
       incumbent != nullptr && incumbent->is_number())
-    report.incumbent_depth = count_field(*incumbent, "incumbent_depth");
+    (void)count_field(*incumbent, "incumbent_depth");
   report.gap = report.upper_bound > report.lower_bound
                    ? report.upper_bound - report.lower_bound
                    : 0;

@@ -8,11 +8,10 @@
 
 #include "io/binary_io.h"
 #include "net/frame.h"
-#include "service/net.h"
+#include "net/net.h"
 
 namespace ebmf::net {
 
-namespace snet = ebmf::service::net;
 
 namespace {
 
@@ -23,7 +22,7 @@ constexpr std::size_t kMaxReplyPayload = 64u << 20;
 }  // namespace
 
 FrameClient::FrameClient(const std::string& host, std::uint16_t port)
-    : fd_(snet::tcp_connect(host, port)) {}
+    : fd_(tcp_connect(host, port)) {}
 
 FrameClient::~FrameClient() { close(); }
 
@@ -132,7 +131,7 @@ std::string FrameClient::normalize_reply(std::uint8_t type,
       return payload;
     case kFrameError: {
       const io::BinaryError be = io::parse_binary_error(payload);
-      return snet::error_json(be.message, be.label, be.id);
+      return error_json(be.message, be.label, be.id);
     }
     case kFrameSolveReport: {
       io::BinaryReply br = io::parse_binary_report(payload);

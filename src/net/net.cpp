@@ -1,6 +1,7 @@
-// Shared socket + line-framing plumbing for the server, client, and router.
+// Socket and line-framing plumbing shared by both tiers, the client and the
+// CLI.
 
-#include "service/net.h"
+#include "net/net.h"
 
 #include <arpa/inet.h>
 #include <netinet/in.h>
@@ -17,7 +18,7 @@
 #include "io/json.h"
 #include "support/fault.h"
 
-namespace ebmf::service::net {
+namespace ebmf::net {
 
 void sys_fail(const std::string& what) {
   throw std::runtime_error(what + ": " + std::strerror(errno));
@@ -107,6 +108,39 @@ bool parse_endpoint(const std::string& text, std::string& host,
   host = text.substr(0, colon);
   port = static_cast<std::uint16_t>(value);
   return true;
+}
+
+bool read_line(int fd, LineBuffer& buffer, std::string& line) {
+  char chunk[16384];
+  while (!buffer.pop(line)) {
+    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
+    if (n > 0)
+      buffer.append(chunk, static_cast<std::size_t>(n));
+    else if (n == 0 || errno != EINTR)
+      return false;
+  }
+  return true;
+}
+
+bool parse_endpoint_list(const std::string& text,
+                         std::vector<std::string>& endpoints,
+                         std::string* bad) {
+  bool ok = true;
+  std::string host;
+  std::uint16_t port = 0;
+  for (std::size_t start = 0; start <= text.size();) {
+    std::size_t comma = text.find(',', start);
+    if (comma == std::string::npos) comma = text.size();
+    std::string entry = text.substr(start, comma - start);
+    start = comma + 1;
+    if (entry.empty()) continue;
+    if (ok && !parse_endpoint(entry, host, port)) {
+      ok = false;
+      if (bad != nullptr) *bad = entry;
+    }
+    endpoints.push_back(std::move(entry));
+  }
+  return ok;
 }
 
 bool strip_id_prefix(std::string& line, std::uint64_t& id) {
@@ -228,4 +262,4 @@ void TcpListener::close() {
   }
 }
 
-}  // namespace ebmf::service::net
+}  // namespace ebmf::net

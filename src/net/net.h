@@ -1,16 +1,15 @@
 #pragma once
 /// \file net.h
-/// \brief Socket and line-framing plumbing shared by the solver Server
-/// (service.h), the blocking Client, and the sharding Router
-/// (router/router.h).
+/// \brief Socket and line-framing plumbing below both tiers: the reactor
+/// (net/reactor.h), the host (net/host.h), the blocking service::Client,
+/// the router's backend pools and the CLI.
 ///
 /// The wire protocol is newline-delimited JSON over TCP; every process in
 /// the topology — `ebmf serve`, `ebmf route`, `ebmf client` — needs the
-/// same four pieces: a listener with a pollable accept loop, a blocking
-/// connect, a full-line writer that survives partial sends, and a byte
-/// buffer that frames complete lines out of recv chunks. They lived inline
-/// in service.cpp while the server was the only user; the router made them
-/// a shared seam.
+/// same pieces: a listener with a pollable accept loop, a blocking
+/// connect, a full-line writer that survives partial sends, a byte buffer
+/// that frames complete lines out of recv chunks, and the "host:port"
+/// endpoint parsers.
 ///
 /// Also here: the protocol's error-reply renderer and the `"id"` prefix
 /// helpers the router uses to match pipelined backend replies to their
@@ -19,8 +18,9 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
-namespace ebmf::service::net {
+namespace ebmf::net {
 
 /// Throw std::runtime_error("<what>: <strerror(errno)>").
 [[noreturn]] void sys_fail(const std::string& what);
@@ -38,12 +38,27 @@ std::string error_json(const std::string& message, const std::string& label,
 /// describing the failure).
 bool write_line(int fd, std::string line);
 
+class LineBuffer;
+
+/// Block for the next complete line on `fd`, buffering into `buffer`
+/// (EINTR retried). False on EOF, error or a receive timeout; an
+/// unterminated tail stays in `buffer`.
+bool read_line(int fd, LineBuffer& buffer, std::string& line);
+
 /// Blocking IPv4 connect; returns the fd or throws std::runtime_error.
 int tcp_connect(const std::string& host, std::uint16_t port);
 
 /// Split "host:port" (port 1..65535). False on malformed input.
 bool parse_endpoint(const std::string& text, std::string& host,
                     std::uint16_t& port);
+
+/// Append every non-empty entry of the comma-separated "host:port" list
+/// `text` to `endpoints` (`--announce`, `--backends`, `--peers`,
+/// `--connect`). False when an entry is malformed; `bad` then names the
+/// first such entry.
+bool parse_endpoint_list(const std::string& text,
+                         std::vector<std::string>& endpoints,
+                         std::string* bad = nullptr);
 
 /// If `line` is an object whose first member is `"id": <uint>`, extract the
 /// id and rewrite `line` without it (`{"id":7,"x":1}` -> `{"x":1}`). False
@@ -119,4 +134,4 @@ class TcpListener {
   std::uint16_t port_ = 0;
 };
 
-}  // namespace ebmf::service::net
+}  // namespace ebmf::net

@@ -104,9 +104,9 @@ class EventLoop {
  public:
   explicit EventLoop(ReactorServer* server) : server_(server) {
     epoll_fd_ = ::epoll_create1(EPOLL_CLOEXEC);
-    if (epoll_fd_ < 0) service::net::sys_fail("epoll_create1");
+    if (epoll_fd_ < 0) sys_fail("epoll_create1");
     event_fd_ = ::eventfd(0, EFD_CLOEXEC | EFD_NONBLOCK);
-    if (event_fd_ < 0) service::net::sys_fail("eventfd");
+    if (event_fd_ < 0) sys_fail("eventfd");
     epoll_event ev{};
     ev.events = EPOLLIN;
     ev.data.fd = event_fd_;

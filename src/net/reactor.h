@@ -41,7 +41,7 @@
 #include <thread>
 #include <vector>
 
-#include "service/net.h"
+#include "net/net.h"
 
 namespace ebmf::net {
 
@@ -255,7 +255,7 @@ class ReactorServer {
   ReactorOptions options_;
   ReactorCallbacks callbacks_;
 
-  service::net::TcpListener listener_;
+  TcpListener listener_;
   std::thread accept_thread_;
   std::vector<std::unique_ptr<EventLoop>> loops_;
   WorkerPool workers_;

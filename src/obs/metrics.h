@@ -55,8 +55,10 @@ class Gauge {
   void set(std::int64_t v) noexcept {
     value_.store(v, std::memory_order_relaxed);
   }
-  void add(std::int64_t n) noexcept {
-    value_.fetch_add(n, std::memory_order_relaxed);
+  /// Returns the value after the add (admission control checks its limit
+  /// against it, so the gauge is the in-flight count itself).
+  std::int64_t add(std::int64_t n) noexcept {
+    return value_.fetch_add(n, std::memory_order_relaxed) + n;
   }
   [[nodiscard]] std::int64_t value() const noexcept {
     return value_.load(std::memory_order_relaxed);
@@ -172,8 +174,9 @@ class Registry {
   Impl* impl_;
 };
 
-/// The process-wide registry every built-in instrumentation site records
-/// into. Tests construct private `Registry` instances instead.
+/// The process-wide registry the solver and cache layers record into. Each
+/// tier instance keeps its own series in its net::Host's registry; tests
+/// construct private `Registry` instances too.
 Registry& default_registry();
 
 /// JSON object (no surrounding braces are omitted — the full `{...}`) that

@@ -22,14 +22,12 @@
 #include "net/frame.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
-#include "service/net.h"
+#include "net/net.h"
 #include "support/fault.h"
 #include "support/rng.h"
 
 namespace ebmf::router {
 
-namespace net = service::net;
-namespace rnet = ebmf::net;
 
 using Clock = std::chrono::steady_clock;
 
@@ -86,19 +84,10 @@ int negotiate_upgrade(int fd) {
   timeval window{2, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &window, sizeof window);
   net::LineBuffer buffer;
-  char chunk[512];
   std::string line;
   int result = -1;
-  while (true) {
-    if (buffer.pop(line)) {
-      result = line.find("\"upgraded\":true") != std::string::npos ? 1 : 0;
-      break;
-    }
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    buffer.append(chunk, static_cast<std::size_t>(n));
-  }
+  if (net::read_line(fd, buffer, line))
+    result = line.find("\"upgraded\":true") != std::string::npos ? 1 : 0;
   timeval off{0, 0};
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &off, sizeof off);
   return result;
@@ -173,8 +162,10 @@ struct BackendPool::Impl {
   /// and the stampede repeats at each doubling. Seeded per-instance.
   Rng jitter;
 
-  std::atomic<std::uint64_t> stat_requests{0};
-  std::atomic<std::uint64_t> stat_failures{0};
+  /// This backend's own counts (the stats verb's per-backend rows); the
+  /// router's aggregates are PoolOptions::dispatches/failures.
+  obs::Counter requests;
+  obs::Counter failures;
 
   explicit Impl(std::string h, std::uint16_t p, PoolOptions opt)
       : host(std::move(h)),
@@ -244,7 +235,7 @@ struct BackendPool::Impl {
     // The bound mirrors the serve tier's default frame cap, not the
     // router's max_line_bytes: replies (reports + partitions) can outgrow
     // request lines.
-    rnet::FrameBuffer frames(64u << 20);
+    net::FrameBuffer frames(64u << 20);
     char chunk[16384];
     const int fd = conn.fd;
     bool dead = false;
@@ -253,10 +244,10 @@ struct BackendPool::Impl {
       if (n < 0 && errno == EINTR) continue;
       if (n <= 0) break;
       frames.append(chunk, static_cast<std::size_t>(n));
-      rnet::Frame frame;
-      rnet::FrameBuffer::Pop status;
-      while ((status = frames.pop(&frame)) == rnet::FrameBuffer::Pop::Ok) {
-        if (frame.type == rnet::kFrameJson) {
+      net::Frame frame;
+      net::FrameBuffer::Pop status;
+      while ((status = frames.pop(&frame)) == net::FrameBuffer::Pop::Ok) {
+        if (frame.type == net::kFrameJson) {
           std::uint64_t id = 0;
           if (!net::strip_id_prefix(frame.payload, id)) continue;
           complete_pending(conn, id, 0, std::move(frame.payload));
@@ -267,7 +258,7 @@ struct BackendPool::Impl {
         complete_pending(conn, static_cast<std::uint64_t>(id), frame.type,
                          std::move(frame.payload));
       }
-      dead = status == rnet::FrameBuffer::Pop::Bad;
+      dead = status == net::FrameBuffer::Pop::Bad;
     }
   }
 
@@ -282,10 +273,8 @@ struct BackendPool::Impl {
     conn.open.store(false, std::memory_order_relaxed);
     break_pending(conn);
     if (!shutting_down.load(std::memory_order_relaxed)) {
-      stat_failures.fetch_add(1, std::memory_order_relaxed);
-      static obs::Counter* const failures =
-          obs::default_registry().counter("router.pool.failures");
-      failures->add(1);
+      failures.add(1);
+      if (options.failures != nullptr) options.failures->add(1);
       std::lock_guard<std::mutex> lock(mutex);
       next_attempt = Clock::now() + backoff_step();
     }
@@ -366,7 +355,7 @@ struct BackendPool::Impl {
       }
       obs::emit_event(obs::EventCode::PoolReconnect,
                       std::hash<std::string>{}(endpoint_text),
-                      stat_failures.load(std::memory_order_relaxed));
+                      failures.value());
       conn.reader = std::thread([this, &conn]() { reader_loop(conn); });
     }
   }
@@ -439,7 +428,7 @@ bool BackendPool::submit(std::uint64_t id, const std::string& payload,
       if (framed)
         sent = send_raw(conn->fd, payload);
       else if (conn->binary)  // JSON over a frame stream: type-4 wrap
-        sent = send_raw(conn->fd, rnet::encode_frame(rnet::kFrameJson,
+        sent = send_raw(conn->fd, net::encode_frame(net::kFrameJson,
                                                      payload));
       else
         sent = net::write_line(conn->fd, payload);
@@ -454,12 +443,10 @@ bool BackendPool::submit(std::uint64_t id, const std::string& payload,
     conn->pending.erase(id);
     return false;
   }
-  impl_->stat_requests.fetch_add(1, std::memory_order_relaxed);
-  // Fleet-wide dispatch volume, aggregated across every pool instance
-  // (per-backend breakdowns live in the stats verb's pool counters).
-  static obs::Counter* const dispatches =
-      obs::default_registry().counter("router.pool.dispatches");
-  dispatches->add(1);
+  impl_->requests.add(1);
+  // The router's dispatch volume, aggregated across its pools (per-backend
+  // breakdowns live in the stats verb's pool counters).
+  if (impl_->options.dispatches != nullptr) impl_->options.dispatches->add(1);
   return true;
 }
 
@@ -478,8 +465,8 @@ PoolStats BackendPool::stats() const {
   PoolStats out;
   out.alive = alive();
   out.binary = binary();
-  out.requests = impl_->stat_requests.load(std::memory_order_relaxed);
-  out.failures = impl_->stat_failures.load(std::memory_order_relaxed);
+  out.requests = impl_->requests.value();
+  out.failures = impl_->failures.value();
   for (const auto& conn : impl_->conns) {
     std::lock_guard<std::mutex> lock(conn->pending_mutex);
     out.inflight += conn->pending.size();

@@ -40,6 +40,8 @@
 #include <mutex>
 #include <string>
 
+#include "obs/metrics.h"
+
 namespace ebmf::router {
 
 /// One awaited backend response. wait() blocks until the reply arrives,
@@ -84,6 +86,10 @@ struct PoolOptions {
   /// Negotiate the binary frame protocol on fresh connections
   /// (`ebmf route --no-binary` turns it off fleet-wide).
   bool negotiate_binary = true;
+  /// The owning router's aggregate series (`router.pool.dispatches`,
+  /// `router.pool.failures`); null = not counted.
+  obs::Counter* dispatches = nullptr;
+  obs::Counter* failures = nullptr;
 };
 
 /// Point-in-time pool counters.

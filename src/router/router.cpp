@@ -1,10 +1,10 @@
-// The sharding front tier: client connections on the epoll reactor
-// (net/reactor.h), local canonicalization + L1 cache, HRW dispatch over
-// the backend pools (binary frames with the pre-canonicalized fast path
-// when the pool negotiated the upgrade, line-JSON otherwise), in-order
-// reply reassembly with failover, the cluster control plane
-// (join/leave/heartbeat membership, epoch-stamped view swaps, hot-key
-// replication), and the SIGTERM drain.
+// The sharding front tier, a net::Host handler (net/host.h): local
+// canonicalization + L1 cache, HRW dispatch over the backend pools (binary
+// frames with the pre-canonicalized fast path when the pool negotiated the
+// upgrade, line-JSON otherwise), in-order reply reassembly with failover,
+// watch relays, and the cluster control plane (join/leave/heartbeat
+// membership, epoch-stamped view swaps, hot-key replication, the leader
+// lease and peer sync).
 
 #include "router/router.h"
 
@@ -14,8 +14,6 @@
 #include <algorithm>
 #include <atomic>
 #include <cerrno>
-#include <csignal>
-#include <cstdio>
 #include <ctime>
 #include <map>
 #include <mutex>
@@ -38,7 +36,7 @@
 #include "io/json.h"
 #include "io/request_io.h"
 #include "net/frame.h"
-#include "net/reactor.h"
+#include "net/host.h"
 #include "obs/events.h"
 #include "obs/federate.h"
 #include "obs/metrics.h"
@@ -46,26 +44,15 @@
 #include "router/pool.h"
 #include "router/ring.h"
 #include "service/canon.h"
-#include "service/net.h"
-#include "support/logrotate.h"
+#include "net/net.h"
 
 namespace ebmf::router {
 
-namespace net = service::net;
-namespace rnet = ebmf::net;
-
 using net::error_json;
+using net::framed_json;
 using net::write_line;
 
 namespace {
-
-/// Wrap one JSON reply line in the framing the triggering message used:
-/// '\n'-terminated on a line connection, a type-4 JSON frame after the
-/// upgrade.
-std::string framed_json(rnet::WireMode mode, const std::string& line) {
-  if (mode == rnet::WireMode::Line) return line + "\n";
-  return rnet::encode_frame(rnet::kFrameJson, line);
-}
 
 /// One client message's journey through a batch: either resolved up front
 /// (parse error, stats, membership verb, L1 hit, local zero-pattern
@@ -88,7 +75,7 @@ struct RouteTask {
   bool admitted = false;
 
   // -- client framing ----------------------------------------------------
-  rnet::WireMode mode = rnet::WireMode::Line;
+  net::WireMode mode = net::WireMode::Line;
   /// True when the request arrived as a type-1 solve frame: the reply is a
   /// type-2/3 frame rather than (possibly type-4-wrapped) JSON text.
   bool binary_solve = false;
@@ -166,42 +153,46 @@ bool is_error_reply(std::string line) {
 
 }  // namespace
 
-struct Router::Impl {
+struct Router::Impl final : net::Handler {
   explicit Impl(RouterOptions opt)
       : options(std::move(opt)),
+        host(options, "router", 64, *this),
         membership(std::chrono::duration_cast<cluster::Clock::duration>(
             std::chrono::duration<double, std::milli>(
                 options.grace_ms > 0 ? options.grace_ms
                                      : 4.0 * options.heartbeat_ms))),
         hot_keys(cluster::HotKeyTracker::Options{
             options.replicas > 1 ? options.promote_after : 0, 65536}) {
-    if (options.max_batch == 0) options.max_batch = 1;
     if (options.replicas == 0) options.replicas = 1;
     if (options.l1_mb > 0)
       l1 = cache::ResultCache::with_capacity_mb(options.l1_mb);
-    if (!options.trace_file.empty()) {
-      std::string error;
-      if (!traces.set_file(options.trace_file, &error))
-        std::fprintf(stderr, "trace-file: %s\n", error.c_str());
-    }
-    if (!options.slow_log.empty()) {
-      std::string error;
-      if (!slow_file.open(options.slow_log, &error))
-        std::fprintf(stderr, "slow-log: %s, logging to stderr\n",
-                     error.c_str());
-    }
   }
 
   RouterOptions options;
+  /// Reactor, admission, sinks and the instance registry. Its trace store
+  /// holds the traces this router assembled: its own spans plus the
+  /// backend spans folded out of each reply.
+  net::Host host;
   std::shared_ptr<cache::ResultCache> l1;
 
-  /// Completed traces this router assembled (op:trace/op:traces): its own
-  /// spans plus the backend spans folded out of each reply.
-  obs::TraceStore traces{128};
-  /// Slow-request sink (--slow-log, size-rotated); stderr when closed and
-  /// --slow-ms is on.
-  RotatingFile slow_file;
-  std::mutex slow_mutex;
+  // The router's own series, in the host's instance registry.
+  obs::Counter* const l1_hits = host.counter("l1_hits");
+  obs::Counter* const failovers = host.counter("failovers");
+  obs::Counter* const joins = host.counter("joins");
+  obs::Counter* const leaves = host.counter("leaves");
+  obs::Counter* const evictions = host.counter("evictions");
+  obs::Counter* const promotions = host.counter("promotions");
+  obs::Counter* const replica_hits = host.counter("replica_hits");
+  obs::Counter* const replica_puts = host.counter("replica_puts");
+  obs::Counter* const lease_acquires = host.counter("lease.acquired");
+  obs::Counter* const lease_renewals = host.counter("lease.renewed");
+  obs::Counter* const lease_lost = host.counter("lease.lost");
+  obs::Counter* const redirects = host.counter("redirects");
+  obs::Counter* const forwards = host.counter("forwards");
+  obs::Counter* const syncs_sent = host.counter("peer.syncs");
+  obs::Counter* const syncs_applied = host.counter("peer.syncs_applied");
+  obs::Counter* const pool_dispatches = host.counter("pool.dispatches");
+  obs::Counter* const pool_failures = host.counter("pool.failures");
 
   /// Where each id-carrying in-flight solve currently lives: the client's
   /// id → (serving backend endpoint, the router-assigned forwarded id).
@@ -213,20 +204,6 @@ struct Router::Impl {
   };
   mutable std::mutex watch_mutex;
   std::map<std::int64_t, WatchRoute> watch_routes;
-
-  // Registry series, resolved once (obs/metrics.h).
-  obs::Histogram* obs_request =
-      obs::default_registry().histogram("router.request.micros");
-  obs::Counter* obs_requests =
-      obs::default_registry().counter("router.requests");
-  obs::Counter* obs_errors = obs::default_registry().counter("router.errors");
-  obs::Counter* obs_rejected =
-      obs::default_registry().counter("router.rejected");
-  obs::Counter* obs_l1_hits =
-      obs::default_registry().counter("router.l1_hits");
-  obs::Counter* obs_failovers =
-      obs::default_registry().counter("router.failovers");
-  obs::Gauge* obs_inflight = obs::default_registry().gauge("router.inflight");
 
   // -- cluster state -----------------------------------------------------
   // `cluster_mutex` serializes membership mutation + view publication (so
@@ -249,76 +226,12 @@ struct Router::Impl {
   std::unique_ptr<cluster::LeaderLease> lease;
   std::thread sync_thread;
 
-  /// The I/O tier. Created in start(); shutdown (not destroyed) in stop(),
-  /// so port() stays answerable after a drain.
-  std::unique_ptr<rnet::ReactorServer> reactor;
-  std::atomic<bool> running{false};
-  std::atomic<bool> stopping{false};
-
   std::thread health_thread;
 
-  /// One watch relay = one tracked thread streaming a backend's progress
-  /// frames through conn->try_send (never occupying a reactor worker for
-  /// the lifetime of someone else's solve). Finished threads are reaped on
-  /// the next watch; stop() joins the rest.
-  struct WatchThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex watch_threads_mutex;
-  std::vector<WatchThread> watch_threads;
-
   std::atomic<std::uint64_t> next_id{1};
-  std::atomic<std::size_t> inflight{0};
-  std::atomic<std::uint64_t> stat_connections{0};
-  std::atomic<std::uint64_t> stat_requests{0};
-  std::atomic<std::uint64_t> stat_errors{0};
-  std::atomic<std::uint64_t> stat_rejected{0};
-  std::atomic<std::uint64_t> stat_l1_hits{0};
-  std::atomic<std::uint64_t> stat_failovers{0};
-  std::atomic<std::uint64_t> stat_joins{0};
-  std::atomic<std::uint64_t> stat_leaves{0};
-  std::atomic<std::uint64_t> stat_evictions{0};
-  std::atomic<std::uint64_t> stat_promotions{0};
-  std::atomic<std::uint64_t> stat_replica_hits{0};
-  std::atomic<std::uint64_t> stat_replica_puts{0};
-  std::atomic<std::uint64_t> stat_lease_acquires{0};
-  std::atomic<std::uint64_t> stat_lease_renewals{0};
-  std::atomic<std::uint64_t> stat_redirects{0};
-  std::atomic<std::uint64_t> stat_forwards{0};
-  std::atomic<std::uint64_t> stat_syncs_sent{0};
-  std::atomic<std::uint64_t> stat_syncs_applied{0};
-
-  obs::Counter* obs_lease_acquired =
-      obs::default_registry().counter("router.lease.acquired");
-  obs::Counter* obs_lease_renewed =
-      obs::default_registry().counter("router.lease.renewed");
-  obs::Counter* obs_lease_lost =
-      obs::default_registry().counter("router.lease.lost");
-  obs::Counter* obs_redirects =
-      obs::default_registry().counter("router.redirects");
-  obs::Counter* obs_forwards =
-      obs::default_registry().counter("router.forwards");
-  obs::Counter* obs_syncs =
-      obs::default_registry().counter("router.peer.syncs");
-
-  bool try_admit() {
-    const std::size_t limit = options.max_inflight;
-    const std::size_t current =
-        inflight.fetch_add(1, std::memory_order_relaxed);
-    if (limit != 0 && current >= limit) {
-      inflight.fetch_sub(1, std::memory_order_relaxed);
-      return false;
-    }
-    obs_inflight->add(1);
-    return true;
-  }
-
-  void release_admitted(std::size_t count) {
-    if (count > 0) {
-      inflight.fetch_sub(count, std::memory_order_relaxed);
-      obs_inflight->add(-static_cast<std::int64_t>(count));
-    }
+  void on_batch(const net::ConnPtr& conn,
+                std::vector<net::Message> messages) override {
+    process_batch(conn, std::move(messages));
   }
 
   /// One backend row of a stats report: pool handle + membership flavor.
@@ -348,12 +261,11 @@ struct Router::Impl {
                 const std::string& trace_hex);
   void register_watch(const RouteTask& task);
   void unregister_watch(const RouteTask& task);
-  void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
-                    rnet::WireMode mode);
-  void watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
-                   rnet::WireMode mode);
-  void reap_watch_threads(bool join_all);
-  void prepare_task(const rnet::Message& message, RouteTask& task);
+  void handle_watch(const net::ConnPtr& conn, std::int64_t id,
+                    net::WireMode mode);
+  void watch_relay(const net::ConnPtr& conn, std::int64_t id,
+                   net::WireMode mode);
+  void prepare_task(const net::Message& message, RouteTask& task);
   bool dispatch(RouteTask& task);
   const std::string& backend_payload(RouteTask& task, bool framed);
   std::string await_reply(RouteTask& task);
@@ -365,8 +277,8 @@ struct Router::Impl {
                       const char* source);
   std::string render_report_core(RouteTask& task, engine::SolveReport& report,
                                  const char* source);
-  void process_batch(const rnet::ConnPtr& conn,
-                     std::vector<rnet::Message> messages);
+  void process_batch(const net::ConnPtr& conn,
+                     std::vector<net::Message> messages);
   void health_loop();
 };
 
@@ -386,14 +298,16 @@ std::shared_ptr<BackendPool> Router::Impl::ensure_pool(
     const auto it = pools.find(endpoint);
     if (it != pools.end()) return it->second;
   }
-  std::string host;
+  std::string host_name;
   std::uint16_t port = 0;
-  if (!net::parse_endpoint(endpoint, host, port)) return nullptr;
+  if (!net::parse_endpoint(endpoint, host_name, port)) return nullptr;
   PoolOptions pool_options;
   pool_options.connections = options.pool_connections;
   pool_options.backoff_base_ms = options.backoff_base_ms;
   pool_options.backoff_max_ms = options.backoff_max_ms;
-  auto pool = std::make_shared<BackendPool>(host, port, pool_options);
+  pool_options.dispatches = pool_dispatches;
+  pool_options.failures = pool_failures;
+  auto pool = std::make_shared<BackendPool>(host_name, port, pool_options);
   std::lock_guard<std::mutex> lock(pools_mutex);
   // Lost a creation race: keep the incumbent (ours is dropped unopened).
   auto it = pools.find(endpoint);
@@ -465,9 +379,9 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
     return error_json(
         "membership verbs need a dynamic router (ebmf route --dynamic)", "",
         wire.id);
-  std::string host;
+  std::string host_name;
   std::uint16_t port = 0;
-  if (!net::parse_endpoint(wire.endpoint, host, port))
+  if (!net::parse_endpoint(wire.endpoint, host_name, port))
     return error_json("bad endpoint '" + wire.endpoint + "' (want host:port)",
                       "", wire.id);
   // Fleet mode: the member table has one writer — the leaseholder. A
@@ -476,7 +390,7 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
   // even while a new lease is being won.
   if (wire.op != io::WireOp::Heartbeat && !holds_write_authority())
     return forward_or_redirect(wire);
-  const std::string endpoint = host + ":" + std::to_string(port);
+  const std::string endpoint = host_name + ":" + std::to_string(port);
   std::ostringstream out;
   out << "{";
   if (wire.id >= 0) out << "\"id\":" << wire.id << ",";
@@ -499,7 +413,7 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
       ensure_pool(endpoint);
       if (update.changed) publish_view();
     }
-    if (update.changed) stat_joins.fetch_add(1, std::memory_order_relaxed);
+    if (update.changed) joins->add(1);
     // Opportunistic connect outside the cluster lock — the first requests
     // for this shard should not eat a health-cadence delay.
     if (const auto pool = pool_for(endpoint)) pool->maintain();
@@ -528,7 +442,7 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
       detached = detach_pool(endpoint);
     }
   }
-  if (update.changed) stat_leaves.fetch_add(1, std::memory_order_relaxed);
+  if (update.changed) leaves->add(1);
   if (detached) detached->shutdown();
   out << "\"left\":" << (update.changed ? "true" : "false")
       << ",\"epoch\":" << update.epoch << "}";
@@ -542,12 +456,12 @@ std::string Router::Impl::handle_membership(const io::WireRequest& wire) {
 /// too. nullopt means "peer unreachable right now".
 std::optional<std::string> Router::Impl::peer_call(const std::string& endpoint,
                                                    const std::string& line) {
-  std::string host;
+  std::string host_name;
   std::uint16_t port = 0;
-  if (!net::parse_endpoint(endpoint, host, port)) return std::nullopt;
+  if (!net::parse_endpoint(endpoint, host_name, port)) return std::nullopt;
   int fd = -1;
   try {
-    fd = net::tcp_connect(host, port);
+    fd = net::tcp_connect(host_name, port);
   } catch (const std::exception&) {
     return std::nullopt;
   }
@@ -555,21 +469,10 @@ std::optional<std::string> Router::Impl::peer_call(const std::string& endpoint,
   ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof timeout);
   ::setsockopt(fd, SOL_SOCKET, SO_SNDTIMEO, &timeout, sizeof timeout);
   std::optional<std::string> reply;
-  if (net::write_line(fd, line)) {
-    net::LineBuffer buffer;
-    char chunk[8192];
-    std::string first;
-    while (true) {
-      if (buffer.pop(first)) {
-        reply = std::move(first);
-        break;
-      }
-      const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-      if (n < 0 && errno == EINTR) continue;
-      if (n <= 0) break;
-      buffer.append(chunk, static_cast<std::size_t>(n));
-    }
-  }
+  net::LineBuffer buffer;
+  std::string first;
+  if (net::write_line(fd, line) && net::read_line(fd, buffer, first))
+    reply = std::move(first);
   ::close(fd);
   return reply;
 }
@@ -585,13 +488,11 @@ std::string Router::Impl::forward_or_redirect(const io::WireRequest& wire) {
     forward.id = -1;  // the proxy leg has its own correlation space
     if (std::optional<std::string> reply =
             peer_call(status.holder, io::wire_request_json(forward))) {
-      stat_forwards.fetch_add(1, std::memory_order_relaxed);
-      obs_forwards->add(1);
+      forwards->add(1);
       return net::with_id_prefix(*reply, wire.id);
     }
   }
-  stat_redirects.fetch_add(1, std::memory_order_relaxed);
-  obs_redirects->add(1);
+  redirects->add(1);
   std::ostringstream out;
   out << "{";
   if (wire.id >= 0) out << "\"id\":" << wire.id << ",";
@@ -637,7 +538,7 @@ std::string Router::Impl::handle_peer(const io::WireRequest& wire) {
     const cluster::LeaderLease::Grant grant =
         lease->observe_claim(wire.endpoint, wire.term);
     if (was_held && grant.granted && !grant.status.held)
-      obs_lease_lost->add(1);  // deposed by a fresher claim
+      lease_lost->add(1);  // deposed by a fresher claim
     out << "\"ok\":true,\"granted\":" << (grant.granted ? "true" : "false")
         << ",\"term\":" << grant.status.term << ",\"holder\":\""
         << io::json::escape(grant.status.holder) << "\"}";
@@ -690,7 +591,7 @@ std::string Router::Impl::handle_peer(const io::WireRequest& wire) {
     // bump). Adoption seeds counts at the threshold, so a takeover serves
     // these keys warm without a re-promotion burst.
     hot_keys.adopt_promoted(wire.promoted_keys);
-    stat_syncs_applied.fetch_add(1, std::memory_order_relaxed);
+    syncs_applied->add(1);
   }
   out << "\"ok\":true,\"applied\":" << (applied ? "true" : "false")
       << ",\"term\":" << grant.status.term << ",\"holder\":\""
@@ -750,7 +651,7 @@ void Router::Impl::sync_loop() {
     hello.term = lease->status().term;
     const std::string hello_line = io::wire_request_json(hello);
     for (const std::string& peer : options.peers) {
-      if (stopping.load(std::memory_order_relaxed)) return;
+      if (host.stopping()) return;
       if (const auto reply = peer_call(peer, hello_line))
         observe_peer_reply(*reply);
     }
@@ -760,27 +661,26 @@ void Router::Impl::sync_loop() {
           ? options.sync_interval_ms
           : std::max(20.0, options.lease_ttl_ms / 3.0);
   bool was_held = false;
-  while (!stopping.load(std::memory_order_relaxed)) {
+  while (!host.stopping()) {
     // Nap in slices so stop() stays prompt at any cadence.
     double napped = 0.0;
     while (napped < interval_ms &&
-           !stopping.load(std::memory_order_relaxed)) {
+           !host.stopping()) {
       const double slice = std::min(20.0, interval_ms - napped);
       timespec nap{0, static_cast<long>(slice * 1e6)};
       ::nanosleep(&nap, nullptr);
       napped += slice;
     }
-    if (stopping.load(std::memory_order_relaxed)) break;
+    if (host.stopping()) break;
 
     const cluster::LeaseStatus status = lease->try_acquire();
     if (!status.held) {
-      if (was_held) obs_lease_lost->add(1);
+      if (was_held) lease_lost->add(1);
       was_held = false;
       continue;  // follower: state arrives passively via peer.sync
     }
     if (!was_held) {
-      stat_lease_acquires.fetch_add(1, std::memory_order_relaxed);
-      obs_lease_acquired->add(1);
+      lease_acquires->add(1);
       // A takeover is the failover event the HA drill measures: record it
       // as a single-span trace so `{"op":"traces"}` shows when it happened
       // and which term it won.
@@ -789,10 +689,9 @@ void Router::Impl::sync_loop() {
       obs::TraceRecorder recorder(ctx);
       recorder.record("router.lease.takeover", obs::new_span_id(), 0, now_us,
                       obs::steady_micros());
-      traces.add(ctx.hi, ctx.lo, recorder.spans());
+      host.traces().add(ctx.hi, ctx.lo, recorder.spans());
     } else {
-      stat_lease_renewals.fetch_add(1, std::memory_order_relaxed);
-      obs_lease_renewed->add(1);
+      lease_renewals->add(1);
     }
     was_held = true;
 
@@ -806,14 +705,13 @@ void Router::Impl::sync_loop() {
     const std::string claim_line = io::wire_request_json(claim);
     const std::string sync_line = build_sync_line();
     for (const std::string& peer : options.peers) {
-      if (stopping.load(std::memory_order_relaxed)) break;
+      if (host.stopping()) break;
       if (const auto reply = peer_call(peer, claim_line))
         observe_peer_reply(*reply);
       if (!lease->status().held) break;  // deposed mid-round
       if (const auto reply = peer_call(peer, sync_line)) {
         observe_peer_reply(*reply);
-        stat_syncs_sent.fetch_add(1, std::memory_order_relaxed);
-        obs_syncs->add(1);
+        syncs_sent->add(1);
       }
     }
   }
@@ -821,31 +719,19 @@ void Router::Impl::sync_loop() {
 
 std::string Router::Impl::stats_json(std::int64_t id) const {
   std::ostringstream out;
-  out << "{";
-  if (id >= 0) out << "\"id\":" << id << ",";
-  out << "\"stats\":true,\"role\":\"router\",\"router\":{"
-      << "\"connections\":" << stat_connections.load(std::memory_order_relaxed)
-      << ",\"requests\":" << stat_requests.load(std::memory_order_relaxed)
-      << ",\"errors\":" << stat_errors.load(std::memory_order_relaxed)
-      << ",\"rejected\":" << stat_rejected.load(std::memory_order_relaxed)
-      << ",\"l1_hits\":" << stat_l1_hits.load(std::memory_order_relaxed)
-      << ",\"failovers\":" << stat_failovers.load(std::memory_order_relaxed)
-      << ",\"inflight\":" << inflight.load(std::memory_order_relaxed)
-      << ",\"max_inflight\":" << options.max_inflight << "}";
+  out << host.stats_head(id, {{"l1_hits", l1_hits}, {"failovers", failovers}});
   out << ",\"cluster\":{\"dynamic\":" << (options.dynamic ? "true" : "false")
       << ",\"epoch\":" << membership.epoch()
       << ",\"members\":" << membership.size()
-      << ",\"joins\":" << stat_joins.load(std::memory_order_relaxed)
-      << ",\"leaves\":" << stat_leaves.load(std::memory_order_relaxed)
-      << ",\"evictions\":" << stat_evictions.load(std::memory_order_relaxed)
+      << ",\"joins\":" << joins->value()
+      << ",\"leaves\":" << leaves->value()
+      << ",\"evictions\":" << evictions->value()
       << ",\"replicas\":" << options.replicas
       << ",\"promote_after\":" << options.promote_after
       << ",\"promoted\":" << hot_keys.promoted_count()
-      << ",\"promotions\":" << stat_promotions.load(std::memory_order_relaxed)
-      << ",\"replica_hits\":"
-      << stat_replica_hits.load(std::memory_order_relaxed)
-      << ",\"replica_puts\":"
-      << stat_replica_puts.load(std::memory_order_relaxed) << "}";
+      << ",\"promotions\":" << promotions->value()
+      << ",\"replica_hits\":" << replica_hits->value()
+      << ",\"replica_puts\":" << replica_puts->value() << "}";
   if (lease) {
     const cluster::LeaseStatus status = lease->status();
     out << ",\"lease\":{\"self\":\"" << io::json::escape(self_endpoint)
@@ -854,27 +740,16 @@ std::string Router::Impl::stats_json(std::int64_t id) const {
         << ",\"held\":" << (status.held ? "true" : "false")
         << ",\"valid\":" << (status.valid ? "true" : "false")
         << ",\"peers\":" << options.peers.size()
-        << ",\"acquires\":" << stat_lease_acquires.load(std::memory_order_relaxed)
-        << ",\"renewals\":" << stat_lease_renewals.load(std::memory_order_relaxed)
-        << ",\"redirects\":" << stat_redirects.load(std::memory_order_relaxed)
-        << ",\"forwards\":" << stat_forwards.load(std::memory_order_relaxed)
-        << ",\"syncs_sent\":" << stat_syncs_sent.load(std::memory_order_relaxed)
-        << ",\"syncs_applied\":"
-        << stat_syncs_applied.load(std::memory_order_relaxed) << "}";
+        << ",\"acquires\":" << lease_acquires->value()
+        << ",\"renewals\":" << lease_renewals->value()
+        << ",\"redirects\":" << redirects->value()
+        << ",\"forwards\":" << forwards->value()
+        << ",\"syncs_sent\":" << syncs_sent->value()
+        << ",\"syncs_applied\":" << syncs_applied->value() << "}";
   } else {
     out << ",\"lease\":null";
   }
-  if (l1) {
-    const cache::CacheStats stats = l1->stats();
-    out << ",\"l1\":{\"hits\":" << stats.hits
-        << ",\"misses\":" << stats.misses
-        << ",\"evictions\":" << stats.evictions
-        << ",\"insertions\":" << stats.insertions
-        << ",\"entries\":" << stats.entries << ",\"bytes\":" << stats.bytes
-        << ",\"capacity_bytes\":" << l1->capacity_bytes() << "}";
-  } else {
-    out << ",\"l1\":null";
-  }
+  out << ",\"l1\":" << cache::stats_json(l1.get());
   const std::vector<BackendSnapshot> snapshot = backend_snapshot();
   out << ",\"backends\":[";
   for (std::size_t i = 0; i < snapshot.size(); ++i) {
@@ -888,7 +763,7 @@ std::string Router::Impl::stats_json(std::int64_t id) const {
         << ",\"failures\":" << pool.failures
         << ",\"inflight\":" << pool.inflight << "}";
   }
-  out << "],\"metrics\":" << obs::metrics_json(obs::default_registry());
+  out << "],\"metrics\":" << host.metrics_json();
   out << "}";
   return out.str();
 }
@@ -925,17 +800,7 @@ void Router::Impl::log_slow(const RouteTask& task, double elapsed_ms,
     }
     line << "}";
   }
-  // The flight recorder's recent tail rides along: what the router (pool
-  // reconnects, waves of failovers) was doing while this request crawled.
-  line << ",\"events\":" << obs::events_json(obs::snapshot_events(32));
-  line << "}";
-  if (slow_file.is_open()) {
-    slow_file.write_line(line.str());
-    return;
-  }
-  std::lock_guard<std::mutex> lock(slow_mutex);
-  std::fprintf(stderr, "%s\n", line.str().c_str());
-  std::fflush(stderr);
+  host.log_slow(line.str());
 }
 
 /// `{"op":"metrics","scope":"fleet"}`: scrape every backend and peer
@@ -946,7 +811,7 @@ std::string Router::Impl::fleet_metrics_json(std::int64_t id) {
   std::vector<obs::InstanceExposition> instances;
   instances.push_back(obs::InstanceExposition{
       self_endpoint.empty() ? "router" : self_endpoint,
-      obs::prometheus_text(obs::default_registry())});
+      host.prometheus_text()});
   // Backends first (endpoint-sorted), then peers, so the per-instance
   // series order in the exposition is stable across scrapes.
   std::vector<std::string> targets;
@@ -1120,7 +985,7 @@ void Router::Impl::replicate(RouteTask& task,
     put.id = static_cast<std::int64_t>(id);
     if (pool->submit(id, io::wire_request_json(put), /*framed=*/false,
                      std::make_shared<PendingReply>()))
-      stat_replica_puts.fetch_add(1, std::memory_order_relaxed);
+      replica_puts->add(1);
   }
 }
 
@@ -1151,8 +1016,8 @@ void Router::Impl::unregister_watch(const RouteTask& task) {
 /// dedicated socket (watch streams block — they must not ride the pooled
 /// pipelined connections), so it cannot run on a reactor worker for the
 /// lifetime of someone else's solve.
-void Router::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
-                                rnet::WireMode mode) {
+void Router::Impl::handle_watch(const net::ConnPtr& conn, std::int64_t id,
+                                net::WireMode mode) {
   {
     std::lock_guard<std::mutex> lock(watch_mutex);
     if (watch_routes.find(id) == watch_routes.end()) {
@@ -1165,23 +1030,14 @@ void Router::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
       return;
     }
   }
-  reap_watch_threads(false);
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  WatchThread watcher;
-  watcher.done = done;
-  watcher.thread = std::thread([this, conn, id, mode, done]() {
-    watch_relay(conn, id, mode);
-    done->store(true, std::memory_order_release);
-  });
-  const std::lock_guard<std::mutex> lock(watch_threads_mutex);
-  watch_threads.push_back(std::move(watcher));
+  host.spawn_watch([this, conn, id, mode]() { watch_relay(conn, id, mode); });
 }
 
 /// The relay body: forward the watch under the router-assigned id and
 /// stream every frame back with the client's id restored. Ends on the
 /// backend's done line, backend EOF, client hangup, or drain.
-void Router::Impl::watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
-                               rnet::WireMode mode) {
+void Router::Impl::watch_relay(const net::ConnPtr& conn, std::int64_t id,
+                               net::WireMode mode) {
   WatchRoute route;
   {
     std::lock_guard<std::mutex> lock(watch_mutex);
@@ -1196,12 +1052,12 @@ void Router::Impl::watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
     }
     route = it->second;
   }
-  std::string host;
+  std::string host_name;
   std::uint16_t port = 0;
   int fd = -1;
-  if (net::parse_endpoint(route.endpoint, host, port)) {
+  if (net::parse_endpoint(route.endpoint, host_name, port)) {
     try {
-      fd = net::tcp_connect(host, port);
+      fd = net::tcp_connect(host_name, port);
     } catch (const std::exception&) {
     }
   }
@@ -1230,13 +1086,13 @@ void Router::Impl::watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
   net::LineBuffer buffer;
   char chunk[8192];
   bool done = false;
-  while (!done && !stopping.load(std::memory_order_relaxed)) {
+  while (!done && !host.stopping()) {
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
     if (n < 0 && errno == EINTR) continue;
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
       // Idle: a client that hung up mid-solve must release this thread
       // (and the backend's) promptly.
-      if (conn->closed() || stopping.load(std::memory_order_relaxed)) break;
+      if (conn->closed() || host.stopping()) break;
       continue;
     }
     if (n <= 0) break;
@@ -1262,36 +1118,15 @@ void Router::Impl::watch_relay(const rnet::ConnPtr& conn, std::int64_t id,
   ::close(fd);
 }
 
-/// Join watch relays that have finished (every spawn), or all of them
-/// (stop() — they exit promptly once `stopping` is set).
-void Router::Impl::reap_watch_threads(bool join_all) {
-  std::vector<std::thread> joinable;
-  {
-    const std::lock_guard<std::mutex> lock(watch_threads_mutex);
-    for (std::size_t i = 0; i < watch_threads.size();) {
-      if (join_all ||
-          watch_threads[i].done->load(std::memory_order_acquire)) {
-        joinable.push_back(std::move(watch_threads[i].thread));
-        watch_threads.erase(watch_threads.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (std::thread& thread : joinable)
-    if (thread.joinable()) thread.join();
-}
-
 /// Parse one client message and decide its path: immediate reply,
 /// passthrough forward, or canonical forward. Admission happens here,
 /// dispatch later.
-void Router::Impl::prepare_task(const rnet::Message& message,
+void Router::Impl::prepare_task(const net::Message& message,
                                 RouteTask& task) {
   task.mode = message.mode;
   io::WireRequest wire;
-  if (message.mode == rnet::WireMode::Binary &&
-      message.frame_type == rnet::kFrameSolveRequest) {
+  if (message.mode == net::WireMode::Binary &&
+      message.frame_type == net::kFrameSolveRequest) {
     task.binary_solve = true;
     try {
       wire = io::parse_binary_request(message.payload);
@@ -1300,8 +1135,8 @@ void Router::Impl::prepare_task(const rnet::Message& message,
       resolve_error(task, e.what());
       return;
     }
-  } else if (message.mode == rnet::WireMode::Binary &&
-             message.frame_type != rnet::kFrameJson) {
+  } else if (message.mode == net::WireMode::Binary &&
+             message.frame_type != net::kFrameJson) {
     resolve_json(task,
                  error_json("unexpected frame type " +
                                 std::to_string(message.frame_type) +
@@ -1330,72 +1165,26 @@ void Router::Impl::prepare_task(const rnet::Message& message,
     resolve_json(task, stats_json(wire.id), false);
     return;
   }
+  bool admin_error = false;
+  if (std::optional<std::string> reply = host.admin_reply(wire, &admin_error)) {
+    resolve_json(task, std::move(*reply), admin_error);
+    return;
+  }
   if (wire.op == io::WireOp::Metrics) {
     if (wire.scope == "fleet") {
       resolve_json(task, fleet_metrics_json(wire.id), false);
       return;
     }
-    if (!wire.scope.empty() && wire.scope != "self" &&
-        wire.scope != "local") {
-      resolve_json(task,
-                   error_json("field 'scope' must be self|local|fleet (got '" +
-                                  wire.scope + "')",
-                              "", wire.id),
-                   true);
-      return;
-    }
-    std::ostringstream reply;
-    reply << "{";
-    if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-    reply << "\"metrics\":true,\"content_type\":\"text/plain; "
-             "version=0.0.4\",\"body\":\""
-          << io::json::escape(obs::prometheus_text(obs::default_registry()))
-          << "\"}";
-    resolve_json(task, reply.str(), false);
-    return;
-  }
-  if (wire.op == io::WireOp::Events) {
-    // The router's own flight recorder: pool reconnects and whatever else
-    // this process's rings hold, merged and tick-ordered.
-    std::ostringstream reply;
-    reply << "{";
-    if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-    reply << "\"events\":" << obs::events_json(obs::snapshot_events()) << "}";
-    resolve_json(task, reply.str(), false);
+    resolve_json(task,
+                 error_json("field 'scope' must be self|local|fleet (got '" +
+                                wire.scope + "')",
+                            "", wire.id),
+                 true);
     return;
   }
   if (wire.op == io::WireOp::Watch) {
     // Relayed from the reply loop (it owns the client fd for streaming).
     task.watch = true;
-    return;
-  }
-  if (wire.op == io::WireOp::Trace) {
-    std::uint64_t hi = 0;
-    std::uint64_t lo = 0;
-    obs::parse_trace_id(wire.trace_id, &hi, &lo);
-    const std::vector<obs::Span> spans = traces.find(hi, lo);
-    if (spans.empty()) {
-      resolve_json(task, error_json("unknown trace id", "", wire.id), true);
-    } else {
-      resolve_json(task, obs::trace_tree_json(wire.trace_id, spans), false);
-    }
-    return;
-  }
-  if (wire.op == io::WireOp::Traces) {
-    std::ostringstream reply;
-    reply << "{";
-    if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-    reply << "\"traces\":[";
-    const auto recent = traces.recent(32);
-    for (std::size_t t = 0; t < recent.size(); ++t) {
-      if (t != 0) reply << ",";
-      reply << "{\"id\":\"" << recent[t].id << "\",\"root\":\""
-            << io::json::escape(recent[t].root)
-            << "\",\"dur_us\":" << recent[t].dur_us
-            << ",\"spans\":" << recent[t].spans << "}";
-    }
-    reply << "]}";
-    resolve_json(task, reply.str(), false);
     return;
   }
   if (wire.op == io::WireOp::Join || wire.op == io::WireOp::Leave ||
@@ -1422,12 +1211,8 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   }
   task.label = wire.request.label;
   task.include_partition = wire.include_partition;
-  if (!try_admit()) {
-    stat_rejected.fetch_add(1, std::memory_order_relaxed);
-    obs_rejected->add(1);
-    resolve_error(task,
-                  "overloaded: " + std::to_string(options.max_inflight) +
-                      " requests already in flight");
+  if (!host.try_admit()) {
+    resolve_error(task, host.overloaded_message());
     return;
   }
   task.admitted = true;
@@ -1503,7 +1288,7 @@ void Router::Impl::prepare_task(const rnet::Message& message,
   task.promoted_now = hot.promoted_now;
   task.hot_hits = hot.hits;
   if (hot.promoted_now)
-    stat_promotions.fetch_add(1, std::memory_order_relaxed);
+    promotions->add(1);
 
   if (l1) {
     span_start = obs::steady_micros();
@@ -1513,8 +1298,7 @@ void Router::Impl::prepare_task(const rnet::Message& message,
       task.trace->record("router.l1", obs::new_span_id(), task.root_span,
                          span_start, obs::steady_micros());
     if (hit) {
-      stat_l1_hits.fetch_add(1, std::memory_order_relaxed);
-      obs_l1_hits->add(1);
+      l1_hits->add(1);
       engine::SolveReport report = std::move(hit->report);
       // A key promoted off an L1 repeat still warms its replicas — that is
       // the whole point: the backends must hold it before one of them (or
@@ -1551,8 +1335,8 @@ const std::string& Router::Impl::backend_payload(RouteTask& task,
                                                  bool framed) {
   if (framed) {
     if (task.backend_frame.empty())
-      task.backend_frame = rnet::encode_frame(
-          rnet::kFrameSolveRequest, io::binary_request_payload(task.forward));
+      task.backend_frame = net::encode_frame(
+          net::kFrameSolveRequest, io::binary_request_payload(task.forward));
     return task.backend_frame;
   }
   if (task.backend_line.empty())
@@ -1578,8 +1362,7 @@ bool Router::Impl::dispatch(RouteTask& task) {
       task.preference_cursor = i;
       task.failovers += i > 0 ? 1 : 0;
       if (i > 0) {
-        stat_failovers.fetch_add(1, std::memory_order_relaxed);
-        obs_failovers->add(1);
+        failovers->add(1);
       }
       task.forwarded = true;
       register_watch(task);
@@ -1612,7 +1395,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
       do {
         outcome = task.pending->wait(0.5);
       } while (outcome == PendingReply::Outcome::TimedOut &&
-               !stopping.load(std::memory_order_relaxed));
+               !host.stopping());
     }
     if (outcome == PendingReply::Outcome::Reply) {
       std::lock_guard<std::mutex> lock(task.pending->mutex);
@@ -1630,7 +1413,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
         return task.pending->line;
       }
     }
-    if (stopping.load(std::memory_order_relaxed)) break;
+    if (host.stopping()) break;
     // The serving backend broke (or hung): resubmit to the next live one.
     // The walk stays on the task's own view — a key whose owner just left
     // fails over along the same preference list the dispatch used.
@@ -1647,8 +1430,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
                        task.pending)) {
         task.preference_cursor = i;
         ++task.failovers;
-        stat_failovers.fetch_add(1, std::memory_order_relaxed);
-        obs_failovers->add(1);
+        failovers->add(1);
         register_watch(task);
         resubmitted = true;
         break;
@@ -1670,7 +1452,7 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
     task.trace->record("router.dispatch", task.dispatch_span, task.root_span,
                        task.dispatch_start_us, obs::steady_micros());
   if (raw.empty()) {
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
+    host.errors->add(1);
     resolve_error(task, "all backends unavailable");
     return;
   }
@@ -1678,13 +1460,13 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
     // Passthrough forwards are always JSON, so the reply is too.
     const bool is_error = raw.rfind("{\"error\"", 0) == 0;
     if (is_error)
-      stat_errors.fetch_add(1, std::memory_order_relaxed);
+      host.errors->add(1);
     else
-      stat_requests.fetch_add(1, std::memory_order_relaxed);
+      host.requests->add(1);
     resolve_json(task, net::with_id_prefix(raw, task.client_id), is_error);
     return;
   }
-  if (task.reply_frame_type == rnet::kFrameError) {
+  if (task.reply_frame_type == net::kFrameError) {
     // The binary twin of the semantic-error branch below: re-own the
     // message, do not fail over.
     std::string message = "backend error";
@@ -1693,12 +1475,12 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
       if (!be.message.empty()) message = be.message;
     } catch (const std::exception&) {
     }
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
+    host.errors->add(1);
     resolve_error(task, message);
     return;
   }
   engine::SolveReport report;
-  if (task.reply_frame_type == rnet::kFrameSolveReport) {
+  if (task.reply_frame_type == net::kFrameSolveReport) {
     try {
       io::BinaryReply br = io::parse_binary_report(raw);
       report = std::move(br.report);
@@ -1715,7 +1497,7 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
         }
       }
     } catch (const std::exception& e) {
-      stat_errors.fetch_add(1, std::memory_order_relaxed);
+      host.errors->add(1);
       resolve_error(task,
                     std::string("router: bad backend reply: ") + e.what());
       return;
@@ -1732,7 +1514,7 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
         message = error->as_string();
     } catch (const std::exception&) {
     }
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
+    host.errors->add(1);
     resolve_error(task, message);
     return;
   } else {
@@ -1752,7 +1534,7 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
             task.trace->adopt(obs::spans_from_json(*spans));
       }
     } catch (const std::exception& e) {
-      stat_errors.fetch_add(1, std::memory_order_relaxed);
+      host.errors->add(1);
       resolve_error(task,
                     std::string("router: bad backend reply: ") + e.what());
       return;
@@ -1770,7 +1552,7 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
     // member of its replica set is the survives-a-kill property working.
     if (task.preference_cursor > 0 &&
         task.preference_cursor < options.replicas) {
-      stat_replica_hits.fetch_add(1, std::memory_order_relaxed);
+      replica_hits->add(1);
       report.add_telemetry("cluster.replica_hit",
                            static_cast<std::uint64_t>(task.preference_cursor));
     }
@@ -1788,9 +1570,9 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
     task.trace->record("router.lift", obs::new_span_id(), task.root_span,
                        lift_start, obs::steady_micros());
   if (task.immediate_is_error)
-    stat_errors.fetch_add(1, std::memory_order_relaxed);
+    host.errors->add(1);
   else
-    stat_requests.fetch_add(1, std::memory_order_relaxed);
+    host.requests->add(1);
 }
 
 /// One micro-batch: prepare every message, dispatch the forwards (they
@@ -1798,25 +1580,18 @@ void Router::Impl::finalize_reply(RouteTask& task, const std::string& raw) {
 /// and send replies in message order. Runs on a reactor worker: a blocked
 /// await occupies the worker, never an event loop, which is why the route
 /// tier sizes io_workers far above the serve tier's pool.
-void Router::Impl::process_batch(const rnet::ConnPtr& conn,
-                                 std::vector<rnet::Message> messages) {
+void Router::Impl::process_batch(const net::ConnPtr& conn,
+                                 std::vector<net::Message> messages) {
   const std::uint64_t batch_start_us = obs::steady_micros();
   std::vector<RouteTask> tasks(messages.size());
   std::size_t admitted = 0;
   for (std::size_t i = 0; i < messages.size(); ++i) {
     RouteTask& task = tasks[i];
-    const rnet::Message& m = messages[i];
+    const net::Message& m = messages[i];
     if (m.upgrade) {
-      // The negotiation ack: the extractor already flipped the input
-      // framing, so this is the connection's last line-framed reply.
       task.mode = m.mode;
-      const std::int64_t id = io::salvage_request_id(m.payload);
-      task.client_id = id;
-      resolve_json(task,
-                   id >= 0 ? "{\"id\":" + std::to_string(id) +
-                                 ",\"upgraded\":true}"
-                           : "{\"upgraded\":true}",
-                   false);
+      task.client_id = io::salvage_request_id(m.payload);
+      resolve_json(task, net::upgrade_ack(task.client_id), false);
       continue;
     }
     prepare_task(m, task);
@@ -1840,9 +1615,9 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
     const bool is_error = task.immediate_is_error;
     if (pre_resolved) {
       if (is_error)
-        stat_errors.fetch_add(1, std::memory_order_relaxed);
+        host.errors->add(1);
       else if (task.admitted || task.canonical_mode)
-        stat_requests.fetch_add(1, std::memory_order_relaxed);
+        host.requests->add(1);
     }
 
     const std::uint64_t done_us = obs::steady_micros();
@@ -1872,24 +1647,17 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
                             "\",\"spans\":" + obs::spans_json(spans) + "}}";
         }
       }
-      traces.add(ctx.hi, ctx.lo, std::move(spans));
+      host.traces().add(ctx.hi, ctx.lo, std::move(spans));
     }
     if (task.admitted) {
-      obs_request->record(elapsed_us);
-      if (is_error)
-        obs_errors->add(1);
-      else
-        obs_requests->add(1);
-      if (options.slow_ms > 0) {
-        const double elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
-        if (elapsed_ms >= options.slow_ms)
-          log_slow(task, elapsed_ms, trace_hex);
-      }
+      host.request_micros->record(elapsed_us);
+      if (host.is_slow(elapsed_us))
+        log_slow(task, static_cast<double>(elapsed_us) / 1000.0, trace_hex);
     }
 
     if (task.binary_solve) {
       const std::uint8_t out_type =
-          is_error ? rnet::kFrameError : rnet::kFrameSolveReport;
+          is_error ? net::kFrameError : net::kFrameSolveReport;
       const std::string payload =
           is_error ? io::binary_error_payload(task.client_id,
                                               task.error_message, task.label)
@@ -1898,7 +1666,7 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
                          task.client_id, task.original.rows(),
                          task.original.cols(), task.backend_events,
                          spans_json);
-      conn->send(rnet::encode_frame(out_type, payload));
+      conn->send(net::encode_frame(out_type, payload));
     } else {
       conn->send(framed_json(task.mode, task.immediate));
     }
@@ -1906,13 +1674,13 @@ void Router::Impl::process_batch(const rnet::ConnPtr& conn,
     // a closed connection is a harmless no-op) so admission slots and
     // pending ids retire cleanly.
   }
-  release_admitted(admitted);
+  host.release_admitted(admitted);
 }
 
 void Router::Impl::health_loop() {
   const long interval_ns = static_cast<long>(
       std::max(1.0, options.health_interval_ms) * 1e6);
-  while (!stopping.load(std::memory_order_relaxed)) {
+  while (!host.stopping()) {
     timespec nap{interval_ns / 1000000000L, interval_ns % 1000000000L};
     ::nanosleep(&nap, nullptr);
     std::vector<std::shared_ptr<BackendPool>> snapshot;
@@ -1943,8 +1711,7 @@ void Router::Impl::health_loop() {
             detached.push_back(std::move(pool));
       }
     }
-    if (!evicted.empty())
-      stat_evictions.fetch_add(evicted.size(), std::memory_order_relaxed);
+    evictions->add(evicted.size());
     for (const auto& pool : detached) pool->shutdown();
   }
 }
@@ -1961,9 +1728,9 @@ void Router::start() {
         "router needs at least one backend (or --dynamic to let backends "
         "join)");
   for (const std::string& peer : impl.options.peers) {
-    std::string host;
+    std::string host_name;
     std::uint16_t port = 0;
-    if (!net::parse_endpoint(peer, host, port))
+    if (!net::parse_endpoint(peer, host_name, port))
       throw std::runtime_error("bad peer endpoint '" + peer +
                                "' (want host:port)");
   }
@@ -1975,14 +1742,14 @@ void Router::start() {
   {
     std::lock_guard<std::mutex> lock(impl.cluster_mutex);
     for (const std::string& endpoint : impl.options.backends) {
-      std::string host;
+      std::string host_name;
       std::uint16_t port = 0;
-      if (!net::parse_endpoint(endpoint, host, port))
+      if (!net::parse_endpoint(endpoint, host_name, port))
         throw std::runtime_error("bad backend endpoint '" + endpoint +
                                  "' (want host:port)");
       // Membership dedups by endpoint, so a repeated endpoint cannot
       // shadow a shard.
-      const std::string normalized = host + ":" + std::to_string(port);
+      const std::string normalized = host_name + ":" + std::to_string(port);
       impl.membership.add_static(normalized);
       impl.ensure_pool(normalized);
     }
@@ -1999,38 +1766,6 @@ void Router::start() {
     for (const auto& pool : snapshot) pool->maintain();
   }
 
-  rnet::ReactorOptions reactor_options;
-  reactor_options.host = impl.options.host;
-  reactor_options.port = impl.options.port;
-  reactor_options.event_loops = impl.options.io_threads;
-  // Route workers *block* in await_reply for a backend round-trip, so the
-  // pool is sized for in-flight requests, not cores. The pool readers
-  // complete replies independently — a full worker pool delays new work,
-  // it never deadlocks the fleet.
-  reactor_options.workers =
-      impl.options.io_workers > 0 ? impl.options.io_workers : 64;
-  reactor_options.max_batch = impl.options.max_batch;
-  reactor_options.max_message_bytes = impl.options.max_line_bytes;
-  reactor_options.idle_timeout_seconds = impl.options.idle_timeout_seconds;
-
-  rnet::ReactorCallbacks callbacks;
-  callbacks.on_open = [&impl](const rnet::ConnPtr&) {
-    impl.stat_connections.fetch_add(1, std::memory_order_relaxed);
-  };
-  callbacks.on_batch = [&impl](const rnet::ConnPtr& conn,
-                               std::vector<rnet::Message> messages) {
-    impl.process_batch(conn, std::move(messages));
-  };
-  callbacks.protocol_error_reply = [](rnet::WireMode mode,
-                                      const std::string& message) {
-    if (mode == rnet::WireMode::Line)
-      return error_json(message, "") + "\n";
-    return rnet::encode_frame(rnet::kFrameError,
-                              io::binary_error_payload(-1, message, ""));
-  };
-
-  impl.reactor = std::make_unique<rnet::ReactorServer>(
-      std::move(reactor_options), std::move(callbacks));
   const auto make_lease = [&impl](std::uint16_t port) {
     impl.self_endpoint =
         impl.options.advertise.empty()
@@ -2049,10 +1784,8 @@ void Router::start() {
   const bool endpoint_known =
       impl.options.port != 0 || !impl.options.advertise.empty();
   if (endpoint_known) make_lease(impl.options.port);
-  impl.reactor->start();
-  if (!endpoint_known) make_lease(impl.reactor->port());
-  impl.stopping = false;
-  impl.running = true;
+  impl.host.start();
+  if (!endpoint_known) make_lease(impl.host.port());
   impl.health_thread = std::thread([&impl]() { impl.health_loop(); });
   if (impl.lease)
     impl.sync_thread = std::thread([&impl]() { impl.sync_loop(); });
@@ -2060,22 +1793,13 @@ void Router::start() {
 
 void Router::stop() {
   Impl& impl = *impl_;
-  if (impl.stopping.exchange(true)) return;
-  if (!impl.running.load()) return;
+  if (!impl.host.begin_stop()) return;
 
-  // 1. Drain the reactor: stop accepting and reading. Messages already
-  // handed to workers keep flowing — the backend pools are still up, so
-  // in-flight awaits complete and every accepted request is answered
-  // before shutdown() flushes and joins.
-  if (impl.reactor) {
-    impl.reactor->begin_drain();
-    impl.reactor->shutdown();
-  }
-
-  // 2. Watch relays exit on `stopping`.
-  impl.reap_watch_threads(true);
-
-  // 3. Only now tear down the transport.
+  // Drain first: messages already handed to workers keep flowing — the
+  // backend pools are still up, so in-flight awaits complete and every
+  // accepted request is answered before the host joins. Only then tear
+  // down the transport.
+  impl.host.drain();
   if (impl.health_thread.joinable()) impl.health_thread.join();
   if (impl.sync_thread.joinable()) impl.sync_thread.join();
   std::vector<std::shared_ptr<BackendPool>> snapshot;
@@ -2084,55 +1808,46 @@ void Router::stop() {
     for (const auto& [endpoint, pool] : impl.pools) snapshot.push_back(pool);
   }
   for (const auto& pool : snapshot) pool->shutdown();
-  // Drain the observability sinks: the tail of the slow log and trace file
-  // must survive the SIGTERM that triggered this stop.
-  impl.slow_file.flush();
-  impl.traces.flush();
-  impl.running = false;
 }
 
-bool Router::running() const noexcept { return impl_->running.load(); }
+bool Router::running() const noexcept { return impl_->host.running(); }
 
-std::uint16_t Router::port() const noexcept {
-  return impl_->reactor ? impl_->reactor->port() : 0;
-}
+std::uint16_t Router::port() const noexcept { return impl_->host.port(); }
 
 RouterStats Router::stats() const {
+  const Impl& impl = *impl_;
   RouterStats out;
-  out.connections = impl_->stat_connections.load(std::memory_order_relaxed);
-  out.requests = impl_->stat_requests.load(std::memory_order_relaxed);
-  out.errors = impl_->stat_errors.load(std::memory_order_relaxed);
-  out.rejected = impl_->stat_rejected.load(std::memory_order_relaxed);
-  out.l1_hits = impl_->stat_l1_hits.load(std::memory_order_relaxed);
-  out.failovers = impl_->stat_failovers.load(std::memory_order_relaxed);
-  out.epoch = impl_->membership.epoch();
-  out.members = impl_->membership.size();
-  out.joins = impl_->stat_joins.load(std::memory_order_relaxed);
-  out.leaves = impl_->stat_leaves.load(std::memory_order_relaxed);
-  out.evictions = impl_->stat_evictions.load(std::memory_order_relaxed);
-  out.promotions = impl_->stat_promotions.load(std::memory_order_relaxed);
-  out.replica_hits = impl_->stat_replica_hits.load(std::memory_order_relaxed);
-  out.replica_puts = impl_->stat_replica_puts.load(std::memory_order_relaxed);
-  out.promoted = impl_->hot_keys.promoted_count();
-  if (impl_->lease) {
-    const cluster::LeaseStatus status = impl_->lease->status();
+  out.connections = impl.host.connections->value();
+  out.requests = impl.host.requests->value();
+  out.errors = impl.host.errors->value();
+  out.rejected = impl.host.rejected->value();
+  out.l1_hits = impl.l1_hits->value();
+  out.failovers = impl.failovers->value();
+  out.epoch = impl.membership.epoch();
+  out.members = impl.membership.size();
+  out.joins = impl.joins->value();
+  out.leaves = impl.leaves->value();
+  out.evictions = impl.evictions->value();
+  out.promotions = impl.promotions->value();
+  out.replica_hits = impl.replica_hits->value();
+  out.replica_puts = impl.replica_puts->value();
+  out.promoted = impl.hot_keys.promoted_count();
+  if (impl.lease) {
+    const cluster::LeaseStatus status = impl.lease->status();
     out.lease_holder = status.holder;
     out.term = status.term;
     out.leaseholder = status.held;
   } else {
-    out.lease_holder = impl_->self_endpoint;
+    out.lease_holder = impl.self_endpoint;
     out.leaseholder = true;  // standalone: the implicit lease is ours
   }
-  out.lease_acquires =
-      impl_->stat_lease_acquires.load(std::memory_order_relaxed);
-  out.lease_renewals =
-      impl_->stat_lease_renewals.load(std::memory_order_relaxed);
-  out.redirects = impl_->stat_redirects.load(std::memory_order_relaxed);
-  out.forwards = impl_->stat_forwards.load(std::memory_order_relaxed);
-  out.syncs_sent = impl_->stat_syncs_sent.load(std::memory_order_relaxed);
-  out.syncs_applied =
-      impl_->stat_syncs_applied.load(std::memory_order_relaxed);
-  for (const Impl::BackendSnapshot& backend : impl_->backend_snapshot()) {
+  out.lease_acquires = impl.lease_acquires->value();
+  out.lease_renewals = impl.lease_renewals->value();
+  out.redirects = impl.redirects->value();
+  out.forwards = impl.forwards->value();
+  out.syncs_sent = impl.syncs_sent->value();
+  out.syncs_applied = impl.syncs_applied->value();
+  for (const Impl::BackendSnapshot& backend : impl.backend_snapshot()) {
     const PoolStats stats = backend.pool->stats();
     BackendHealth health;
     health.endpoint = backend.endpoint;
@@ -2152,97 +1867,55 @@ const std::shared_ptr<cache::ResultCache>& Router::l1() const noexcept {
 
 // ---- route_forever --------------------------------------------------------
 
-namespace {
-
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int sig) { g_signal = sig; }
-
-}  // namespace
-
 int route_forever(const RouterOptions& options, std::ostream& log) {
   Router router(options);
-
-  if (!options.cache_file.empty() && router.l1()) {
-    std::string warning;
-    const std::size_t loaded =
-        router.l1()->load_file(options.cache_file, &warning);
-    if (!warning.empty()) log << "cache-file: " << warning << std::endl;
-    if (loaded > 0)
-      log << "cache-file: reloaded " << loaded << " entries from "
-          << options.cache_file << std::endl;
-  }
-
-  try {
+  const auto start = [&]() {
     router.start();
-  } catch (const std::exception& e) {
-    log << "error: " << e.what() << "\n";
-    return 1;
-  }
-
-  g_signal = 0;
-  struct sigaction action{};
-  action.sa_handler = on_signal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);
-
-  log << "ebmf router listening on " << options.host << ":" << router.port()
-      << " over " << options.backends.size() << " static backends"
-      << (options.dynamic ? " (dynamic: join/leave/heartbeat enabled)" : "")
-      << " (l1-mb=" << options.l1_mb
-      << ", max-inflight=" << options.max_inflight
-      << ", replicas=" << options.replicas << ")" << std::endl;
-  if (!options.peers.empty()) {
-    log << "fleet: " << options.peers.size() << " peers, lease-ttl="
-        << options.lease_ttl_ms << "ms";
-    if (!options.advertise.empty()) log << ", advertise=" << options.advertise;
-    log << std::endl;
-  }
-
-  while (g_signal == 0) {
-    timespec nap{0, 100 * 1000 * 1000};
-    ::nanosleep(&nap, nullptr);
-  }
-
-  log << "signal " << static_cast<int>(g_signal) << " received, draining"
-      << std::endl;
-  router.stop();
-  const RouterStats stats = router.stats();
-  log << "routed " << stats.requests << " requests, " << stats.errors
-      << " errors, " << stats.rejected << " rejected, " << stats.l1_hits
-      << " l1 hits, " << stats.failovers << " failovers, across "
-      << stats.connections << " connections" << std::endl;
-  log << "cluster: epoch " << stats.epoch << ", " << stats.members
-      << " members (" << stats.joins << " joins, " << stats.leaves
-      << " leaves, " << stats.evictions << " evictions); " << stats.promotions
-      << " promotions, " << stats.replica_hits << " replica hits, "
-      << stats.replica_puts << " replica puts" << std::endl;
-  if (!options.peers.empty())
-    log << "fleet: term " << stats.term << ", holder "
-        << (stats.lease_holder.empty() ? "<none>" : stats.lease_holder)
-        << (stats.leaseholder ? " (this router)" : "") << "; "
-        << stats.lease_acquires << " acquires, " << stats.lease_renewals
-        << " renewals, " << stats.forwards << " forwards, " << stats.redirects
-        << " redirects, " << stats.syncs_sent << " syncs sent, "
-        << stats.syncs_applied << " applied" << std::endl;
-  for (const BackendHealth& backend : stats.backends)
-    log << "  backend " << backend.endpoint << ": "
-        << (backend.alive ? "alive" : "down")
-        << (backend.is_static ? " (static)" : " (announced)") << ", "
-        << backend.requests << " requests, " << backend.failures
-        << " failures" << std::endl;
-
-  if (!options.cache_file.empty() && router.l1()) {
-    std::string error;
-    if (router.l1()->save_file(options.cache_file, &error)) {
-      log << "cache-file: saved " << router.l1()->stats().entries
-          << " entries to " << options.cache_file << std::endl;
-    } else {
-      log << "cache-file: " << error << std::endl;
+    log << "ebmf router listening on " << options.host << ":" << router.port()
+        << " over " << options.backends.size() << " static backends"
+        << (options.dynamic ? " (dynamic: join/leave/heartbeat enabled)" : "")
+        << " (l1-mb=" << options.l1_mb
+        << ", max-inflight=" << options.max_inflight
+        << ", replicas=" << options.replicas << ")" << std::endl;
+    if (!options.peers.empty()) {
+      log << "fleet: " << options.peers.size() << " peers, lease-ttl="
+          << options.lease_ttl_ms << "ms";
+      if (!options.advertise.empty())
+        log << ", advertise=" << options.advertise;
+      log << std::endl;
     }
-  }
-  return 0;
+  };
+  const auto drain = [&]() {
+    router.stop();
+    const RouterStats stats = router.stats();
+    log << "routed " << stats.requests << " requests, " << stats.errors
+        << " errors, " << stats.rejected << " rejected, " << stats.l1_hits
+        << " l1 hits, " << stats.failovers << " failovers, across "
+        << stats.connections << " connections" << std::endl;
+    log << "cluster: epoch " << stats.epoch << ", " << stats.members
+        << " members (" << stats.joins << " joins, " << stats.leaves
+        << " leaves, " << stats.evictions << " evictions); "
+        << stats.promotions << " promotions, " << stats.replica_hits
+        << " replica hits, " << stats.replica_puts << " replica puts"
+        << std::endl;
+    if (!options.peers.empty())
+      log << "fleet: term " << stats.term << ", holder "
+          << (stats.lease_holder.empty() ? "<none>" : stats.lease_holder)
+          << (stats.leaseholder ? " (this router)" : "") << "; "
+          << stats.lease_acquires << " acquires, " << stats.lease_renewals
+          << " renewals, " << stats.forwards << " forwards, "
+          << stats.redirects << " redirects, " << stats.syncs_sent
+          << " syncs sent, " << stats.syncs_applied << " applied"
+          << std::endl;
+    for (const BackendHealth& backend : stats.backends)
+      log << "  backend " << backend.endpoint << ": "
+          << (backend.alive ? "alive" : "down")
+          << (backend.is_static ? " (static)" : " (announced)") << ", "
+          << backend.requests << " requests, " << backend.failures
+          << " failures" << std::endl;
+  };
+  return net::run_until_signal(options.cache_file, router.l1().get(), log,
+                               start, drain);
 }
 
 }  // namespace ebmf::router

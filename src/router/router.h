@@ -31,9 +31,14 @@
 ///    killed backend loses no accepted request. Degraded replies carry
 ///    `routed.failover` telemetry; reconnects follow exponential backoff
 ///    driven by a health thread.
-///  * **Admission control.** The same global max-inflight scheme as
-///    service.cpp: past the limit, requests get an `overloaded` error
-///    instead of queueing unboundedly.
+///  * **Admission control.** The router runs on the same tier host as the
+///    server (net/host.h), with its global max-inflight limit: past it,
+///    requests get an `overloaded` error instead of queueing unboundedly.
+///  * **Counters.** Every router series lives once, in the host's instance
+///    registry. `router.requests` counts every reply that carries a report
+///    (forwarded, L1 hit, local all-zero answer) and `router.errors` every
+///    error reply, admitted or not; `router.request.micros` times the
+///    admitted requests.
 ///
 /// Masked (don't-care) requests bypass canonicalization — they are
 /// forwarded verbatim (keyed by raw pattern text, so repeats still share a
@@ -78,14 +83,17 @@
 #include <string>
 #include <vector>
 
+#include "net/host.h"
 #include "service/cache.h"
 
 namespace ebmf::router {
 
-/// Knobs of one router instance (CLI flags map 1:1).
-struct RouterOptions {
-  std::uint16_t port = 7500;       ///< 0 = pick an ephemeral port.
-  std::string host = "127.0.0.1";  ///< Bind address.
+/// Knobs of one router instance (CLI flags map 1:1). The reactor,
+/// admission, sink and `--cache-file` (L1 snapshot) knobs are
+/// net::HostOptions'.
+struct RouterOptions : net::HostOptions {
+  RouterOptions() { port = 7500; }
+
   /// Backend endpoints ("host:port") configured at startup. These are
   /// *static* members: never heartbeat-evicted. A non-dynamic router
   /// requires at least one; a dynamic router may start empty and let
@@ -118,18 +126,6 @@ struct RouterOptions {
   /// Missed-heartbeat eviction window (0 = 4 * heartbeat_ms).
   double grace_ms = 0.0;
   double l1_mb = 64.0;        ///< Router-local result cache (0 = off).
-  std::string cache_file;     ///< L1 snapshot path ("" = no persistence).
-  std::size_t max_inflight = 256;  ///< Global admission limit.
-  std::size_t max_batch = 32;      ///< Pipelined lines read per batch.
-  std::size_t max_line_bytes = 4u << 20;  ///< Oversized-line guard.
-  std::size_t io_threads = 2;  ///< Reactor event-loop threads.
-  /// Reactor handler threads. Router handlers *block* in await_reply (pool
-  /// reader threads complete replies independently, so this is bounded
-  /// concurrency, not a deadlock risk) — the default is therefore much
-  /// larger than the serve tier's compute-bound auto value. 0 = auto (64).
-  std::size_t io_workers = 0;
-  /// Reap client connections idle this long (half-open peers). 0 = never.
-  double idle_timeout_seconds = 0.0;
   /// Negotiate the binary frame protocol on backend pool connections and
   /// use the canonical-key fast path for dense solves
   /// (`ebmf route --no-binary` turns it off; JSON lines then carry all
@@ -147,15 +143,6 @@ struct RouterOptions {
   /// latency breakdown is observable without client changes. Client-sent
   /// contexts are always honored regardless of this flag.
   bool trace = false;
-  /// Slow-request log (`--slow-ms`): any routed solve whose wall-clock
-  /// exceeds this many milliseconds is appended — with trace id, serving
-  /// backend, strategy, and per-span timings — as one JSON line to
-  /// `slow_log` (or stderr when empty). 0 = off.
-  double slow_ms = 0.0;
-  std::string slow_log;  ///< `--slow-log=PATH`; empty = stderr.
-  /// Completed traces additionally append to this JSON-lines file
-  /// (`--trace-file=PATH`); empty = ring only.
-  std::string trace_file;
 };
 
 /// Point-in-time health + counters of one backend.
@@ -168,7 +155,8 @@ struct BackendHealth {
   std::uint64_t failures = 0;  ///< Connection breaks observed.
 };
 
-/// Router counters (stats verb, drain report, tests).
+/// Router counters (stats verb, drain report, tests), read from the
+/// router's instance registry (net/host.h) like the stats verb.
 struct RouterStats {
   std::uint64_t connections = 0;  ///< Client connections accepted.
   std::uint64_t requests = 0;     ///< Lines answered with a report.

@@ -226,6 +226,19 @@ std::size_t ResultCache::capacity_bytes() const noexcept {
   return impl_->options.capacity_bytes;
 }
 
+std::string stats_json(const ResultCache* cache) {
+  if (cache == nullptr) return "null";
+  const CacheStats stats = cache->stats();
+  return "{\"hits\":" + std::to_string(stats.hits) +
+         ",\"misses\":" + std::to_string(stats.misses) +
+         ",\"evictions\":" + std::to_string(stats.evictions) +
+         ",\"insertions\":" + std::to_string(stats.insertions) +
+         ",\"entries\":" + std::to_string(stats.entries) +
+         ",\"bytes\":" + std::to_string(stats.bytes) +
+         ",\"capacity_bytes\":" + std::to_string(cache->capacity_bytes()) +
+         "}";
+}
+
 // ---- persistence -----------------------------------------------------------
 
 namespace {

@@ -122,4 +122,10 @@ class ResultCache {
   std::unique_ptr<Impl> impl_;
 };
 
+/// The stats verb's cache block (`"cache"` on a server, `"l1"` on a
+/// router): `{"hits":..,"misses":..,"evictions":..,"insertions":..,
+/// "entries":..,"bytes":..,"capacity_bytes":..}`, or `null` without a
+/// cache.
+[[nodiscard]] std::string stats_json(const ResultCache* cache);
+
 }  // namespace ebmf::cache

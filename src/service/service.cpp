@@ -1,9 +1,9 @@
-// The solver server on the epoll reactor (net/reactor.h): event loops own
-// the sockets, micro-batches flow through the worker pool into the engine,
-// and connections speak line-JSON or (after `{"op":"upgrade"}`) the binary
-// frame protocol. Admission control, cancellation wiring (hard socket
-// deaths, SIGTERM drain), watch streams, and the announce control plane
-// live here; socket plumbing is shared with the router via service/net.h.
+// The solver server: a net::Host handler (net/host.h). Batches flow from
+// the reactor's workers into the engine, and connections speak line-JSON
+// or (after `{"op":"upgrade"}`) the binary frame protocol. What is the
+// server's own lives here: batch processing, budget cancellation (hard
+// socket deaths, SIGTERM drain), watch streams of in-flight solves,
+// replica puts, and the announce control plane.
 
 #include "service/service.h"
 
@@ -19,10 +19,7 @@
 #include <cerrno>
 #include <chrono>
 #include <cmath>
-#include <csignal>
 #include <cstdint>
-#include <cstdio>
-#include <cstring>
 #include <ctime>
 #include <functional>
 #include <map>
@@ -41,72 +38,49 @@
 #include "io/json.h"
 #include "io/request_io.h"
 #include "net/frame.h"
-#include "net/reactor.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/progress.h"
 #include "obs/trace.h"
 #include "service/canon.h"
-#include "service/net.h"
-#include "support/logrotate.h"
 
 namespace ebmf::service {
 
 namespace {
 
 using net::error_json;
+using net::framed_json;
 using net::write_line;
-namespace rnet = ebmf::net;
 
 /// Owner-side per-connection state hung on the reactor connection.
 struct ConnState {
   /// Cancellation flag threaded into every Budget this connection solves
-  /// under; flipped by on_close on a hard death and by stop() on drain.
+  /// under; flipped by on_close on a hard death and by on_drain.
   std::shared_ptr<std::atomic<bool>> cancel =
       std::make_shared<std::atomic<bool>>(false);
 };
 
-std::shared_ptr<ConnState> conn_state(const rnet::ConnPtr& conn) {
+std::shared_ptr<ConnState> conn_state(const net::ConnPtr& conn) {
   return std::static_pointer_cast<ConnState>(conn->user());
-}
-
-/// Wrap one JSON reply line in the framing the triggering message used:
-/// '\n'-terminated on a line connection, a type-4 JSON frame after the
-/// upgrade.
-std::string framed_json(rnet::WireMode mode, const std::string& line) {
-  if (mode == rnet::WireMode::Line) return line + "\n";
-  return rnet::encode_frame(rnet::kFrameJson, line);
 }
 
 }  // namespace
 
-struct Server::Impl {
-  explicit Impl(ServerOptions opt) : options(std::move(opt)) {
-    if (options.max_batch == 0) options.max_batch = 1;
+struct Server::Impl final : net::Handler {
+  explicit Impl(ServerOptions opt)
+      : options(std::move(opt)), host(options, "server", 0, *this) {
     if (options.cache_mb > 0)
       engine.set_cache(cache::ResultCache::with_capacity_mb(options.cache_mb));
-    if (!options.trace_file.empty()) {
-      std::string error;
-      if (!traces.set_file(options.trace_file, &error))
-        std::fprintf(stderr, "trace-file: %s\n", error.c_str());
-    }
-    if (!options.slow_log.empty()) {
-      std::string error;
-      if (!slow_file.open(options.slow_log, &error))
-        std::fprintf(stderr, "slow-log: %s, logging to stderr\n",
-                     error.c_str());
-    }
   }
 
   ServerOptions options;
   engine::Engine engine;
+  net::Host host;
 
-  /// Completed traces of requests this server handled (op:trace/op:traces).
-  obs::TraceStore traces{128};
-  /// Slow-request sink (--slow-log), size-rotated (`path` → `path.1`, two
-  /// generations kept); stderr when closed and --slow-ms is on.
-  RotatingFile slow_file;
-  std::mutex slow_mutex;
+  // The server's own series, in the host's instance registry.
+  obs::Counter* const puts = host.counter("puts");
+  obs::Counter* const joins_sent = host.counter("joins_sent");
+  obs::Counter* const join_rejects = host.counter("join_rejects");
 
   /// One in-flight solve visible to `{"op":"watch"}` and the stats panel.
   struct InflightEntry {
@@ -122,34 +96,6 @@ struct Server::Impl {
   mutable std::mutex inflight_mutex;
   std::map<std::int64_t, InflightEntry> inflight_watch;
 
-  // Registry series, resolved once (obs/metrics.h).
-  obs::Histogram* obs_request =
-      obs::default_registry().histogram("server.request.micros");
-  obs::Counter* obs_requests =
-      obs::default_registry().counter("server.requests");
-  obs::Counter* obs_errors = obs::default_registry().counter("server.errors");
-  obs::Counter* obs_rejected =
-      obs::default_registry().counter("server.rejected");
-  obs::Gauge* obs_inflight =
-      obs::default_registry().gauge("server.inflight");
-
-  /// The I/O tier. Created in start(); shutdown (not destroyed) in stop(),
-  /// so port() and stats stay answerable after a drain.
-  std::unique_ptr<rnet::ReactorServer> reactor;
-  std::atomic<bool> running{false};
-  std::atomic<bool> stopping{false};
-
-  /// One watch stream = one tracked thread writing through conn->try_send
-  /// (never blocking an event loop or a reactor worker for the lifetime of
-  /// someone else's solve). Finished threads are reaped on the next watch;
-  /// stop() joins the rest.
-  struct WatchThread {
-    std::thread thread;
-    std::shared_ptr<std::atomic<bool>> done;
-  };
-  std::mutex watch_mutex;
-  std::vector<WatchThread> watch_threads;
-
   /// The announce clients' live sockets, one slot per router in the
   /// (comma-separated) --announce list; -1 when that session is down.
   /// stop() shuts them down (under the mutex, so a concurrent close/reuse
@@ -161,43 +107,34 @@ struct Server::Impl {
   std::mutex announce_mutex;
   std::vector<int> announce_fds;
 
-  std::atomic<std::size_t> inflight{0};
-  std::atomic<std::uint64_t> stat_connections{0};
-  std::atomic<std::uint64_t> stat_requests{0};
-  std::atomic<std::uint64_t> stat_errors{0};
-  std::atomic<std::uint64_t> stat_rejected{0};
-  std::atomic<std::uint64_t> stat_puts{0};
-  std::atomic<std::uint64_t> stat_joins_sent{0};
-  std::atomic<std::uint64_t> stat_join_rejects{0};
-
-  /// Reserve one admission slot; false when the server is at capacity.
-  bool try_admit() {
-    const std::size_t limit = options.max_inflight;
-    const std::size_t current =
-        inflight.fetch_add(1, std::memory_order_relaxed);
-    if (limit != 0 && current >= limit) {
-      inflight.fetch_sub(1, std::memory_order_relaxed);
-      return false;
-    }
-    obs_inflight->add(1);
-    return true;
+  void on_batch(const net::ConnPtr& conn,
+                std::vector<net::Message> messages) override {
+    process_batch(conn, std::move(messages));
   }
-
-  void release_admitted(std::size_t count) {
-    if (count > 0) {
-      inflight.fetch_sub(count, std::memory_order_relaxed);
-      obs_inflight->add(-static_cast<std::int64_t>(count));
-    }
+  void on_open(const net::ConnPtr& conn) override {
+    conn->set_user(std::make_shared<ConnState>());
+  }
+  /// A hard death (RST, write overflow) cancels the connection's budgets —
+  /// the anytime contract turns that into a fast valid return, freeing the
+  /// admission slot. An orderly FIN keeps them: one-shot clients
+  /// half-close and then read their answers.
+  void on_close(const net::ConnPtr& conn, bool aborted) override {
+    if (aborted) on_drain(conn);
+  }
+  /// The drain cancels every in-flight budget, so accepted requests are
+  /// answered fast (and still validly) before the connections close.
+  void on_drain(const net::ConnPtr& conn) override {
+    if (const std::shared_ptr<ConnState> state = conn_state(conn))
+      state->cancel->store(true, std::memory_order_relaxed);
   }
 
   std::string stats_json(std::int64_t id) const;
   std::string handle_put(const io::WireRequest& wire);
-  void handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
-                    rnet::WireMode mode);
-  void watch_stream(const rnet::ConnPtr& conn,
+  void handle_watch(const net::ConnPtr& conn, std::int64_t id,
+                    net::WireMode mode);
+  void watch_stream(const net::ConnPtr& conn,
                     const obs::ProgressSinkPtr& sink, std::int64_t id,
-                    rnet::WireMode mode);
-  void reap_watch_threads(bool join_all);
+                    net::WireMode mode);
   void log_slow(const engine::SolveReport& report, double elapsed_ms,
                 const std::string& trace_id);
   std::string advertised_endpoint() const;
@@ -205,37 +142,17 @@ struct Server::Impl {
   bool announce_round(const std::string& host, std::uint16_t port,
                       const std::string& self, std::size_t slot);
   void announce_loop(std::string router, std::size_t slot);
-  void process_batch(const rnet::ConnPtr& conn,
-                     std::vector<rnet::Message> messages);
+  void process_batch(const net::ConnPtr& conn,
+                     std::vector<net::Message> messages);
 };
 
 /// The `{"op":"stats"}` reply: server counters + cache counters, one line.
 std::string Server::Impl::stats_json(std::int64_t id) const {
   std::ostringstream out;
-  out << "{";
-  if (id >= 0) out << "\"id\":" << id << ",";
-  out << "\"stats\":true,\"role\":\"server\",\"server\":{"
-      << "\"connections\":" << stat_connections.load(std::memory_order_relaxed)
-      << ",\"requests\":" << stat_requests.load(std::memory_order_relaxed)
-      << ",\"errors\":" << stat_errors.load(std::memory_order_relaxed)
-      << ",\"rejected\":" << stat_rejected.load(std::memory_order_relaxed)
-      << ",\"puts\":" << stat_puts.load(std::memory_order_relaxed)
-      << ",\"joins_sent\":" << stat_joins_sent.load(std::memory_order_relaxed)
-      << ",\"join_rejects\":"
-      << stat_join_rejects.load(std::memory_order_relaxed)
-      << ",\"inflight\":" << inflight.load(std::memory_order_relaxed)
-      << ",\"max_inflight\":" << options.max_inflight << "}";
-  if (engine.cache()) {
-    const cache::CacheStats stats = engine.cache()->stats();
-    out << ",\"cache\":{\"hits\":" << stats.hits
-        << ",\"misses\":" << stats.misses
-        << ",\"evictions\":" << stats.evictions
-        << ",\"insertions\":" << stats.insertions
-        << ",\"entries\":" << stats.entries << ",\"bytes\":" << stats.bytes
-        << ",\"capacity_bytes\":" << engine.cache()->capacity_bytes() << "}";
-  } else {
-    out << ",\"cache\":null";
-  }
+  out << host.stats_head(id, {{"puts", puts},
+                              {"joins_sent", joins_sent},
+                              {"join_rejects", join_rejects}});
+  out << ",\"cache\":" << cache::stats_json(engine.cache().get());
   // The in-flight requests panel (ebmf top): one entry per watchable solve
   // with its live incumbent/bound bracket from the progress sink.
   out << ",\"inflight_requests\":[";
@@ -259,7 +176,7 @@ std::string Server::Impl::stats_json(std::int64_t id) const {
     }
   }
   out << "]";
-  out << ",\"metrics\":" << obs::metrics_json(obs::default_registry());
+  out << ",\"metrics\":" << host.metrics_json();
   out << "}";
   return out.str();
 }
@@ -278,13 +195,13 @@ std::string watch_frame_line(std::int64_t id, const obs::ProgressFrame& f) {
 /// `{"op":"watch","id":N}`: stream the named in-flight solve's progress
 /// frames to this connection as JSONL (framed per the connection's wire
 /// mode), then a final `{"done":true}` line when the solve retires. The
-/// stream runs on its own tracked thread so it never occupies a reactor
+/// stream runs on a host watch thread so it never occupies a reactor
 /// worker for the lifetime of someone else's solve; the publishing solver
 /// is never blocked either — the stream thread reads the sink's retained
 /// frames and sends them through conn->try_send, which drops on
 /// backpressure and reports a closed connection.
-void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
-                                rnet::WireMode mode) {
+void Server::Impl::handle_watch(const net::ConnPtr& conn, std::int64_t id,
+                                net::WireMode mode) {
   obs::ProgressSinkPtr sink;
   {
     const std::lock_guard<std::mutex> lock(inflight_mutex);
@@ -298,21 +215,13 @@ void Server::Impl::handle_watch(const rnet::ConnPtr& conn, std::int64_t id,
                          "", id)));
     return;
   }
-  reap_watch_threads(false);
-  auto done = std::make_shared<std::atomic<bool>>(false);
-  WatchThread watcher;
-  watcher.done = done;
-  watcher.thread = std::thread([this, conn, sink, id, mode, done]() {
-    watch_stream(conn, sink, id, mode);
-    done->store(true, std::memory_order_release);
-  });
-  const std::lock_guard<std::mutex> lock(watch_mutex);
-  watch_threads.push_back(std::move(watcher));
+  host.spawn_watch(
+      [this, conn, sink, id, mode]() { watch_stream(conn, sink, id, mode); });
 }
 
-void Server::Impl::watch_stream(const rnet::ConnPtr& conn,
+void Server::Impl::watch_stream(const net::ConnPtr& conn,
                                 const obs::ProgressSinkPtr& sink,
-                                std::int64_t id, rnet::WireMode mode) {
+                                std::int64_t id, net::WireMode mode) {
   // This thread sends every retained frame itself, in seq order, waking on
   // each publish; the publishing solver never writes to a socket. try_send
   // drops frames a slow subscriber can't absorb (watch is diagnostics, not
@@ -329,9 +238,7 @@ void Server::Impl::watch_stream(const rnet::ConnPtr& conn,
         break;
       }
     }
-    if (dead || finished || stopping.load(std::memory_order_relaxed) ||
-        conn->closed())
-      break;
+    if (dead || finished || host.stopping() || conn->closed()) break;
   }
   if (!dead && !conn->closed()) {
     std::string done_line = "{";
@@ -342,32 +249,10 @@ void Server::Impl::watch_stream(const rnet::ConnPtr& conn,
   }
 }
 
-/// Join watch threads that have finished (every spawn), or all of them
-/// (stop() — they exit promptly once `stopping` is set and the drained
-/// solves finish their sinks).
-void Server::Impl::reap_watch_threads(bool join_all) {
-  std::vector<std::thread> joinable;
-  {
-    const std::lock_guard<std::mutex> lock(watch_mutex);
-    for (std::size_t i = 0; i < watch_threads.size();) {
-      if (join_all ||
-          watch_threads[i].done->load(std::memory_order_acquire)) {
-        joinable.push_back(std::move(watch_threads[i].thread));
-        watch_threads.erase(watch_threads.begin() +
-                            static_cast<std::ptrdiff_t>(i));
-      } else {
-        ++i;
-      }
-    }
-  }
-  for (std::thread& thread : joinable)
-    if (thread.joinable()) thread.join();
-}
-
 /// One slow-request JSON line: wall-clock, trace id (when traced), the
 /// canonical key prefix, strategy, and per-phase timings — enough to pull
 /// the full span tree via `{"op":"trace"}` or find the pattern in the
-/// cache. Appended to --slow-log or stderr.
+/// cache.
 void Server::Impl::log_slow(const engine::SolveReport& report,
                             double elapsed_ms, const std::string& trace_id) {
   std::ostringstream line;
@@ -388,18 +273,7 @@ void Server::Impl::log_slow(const engine::SolveReport& report,
          << "\":" << io::json::number(report.timings[i].seconds);
   }
   line << "}";
-  // The flight recorder's tail: what the solvers were doing in the run-up
-  // to this slow reply (restarts, waves, incumbents, GCs).
-  line << ",\"events\":" << obs::events_json(obs::snapshot_events(32));
-  line << "}";
-  const std::string text = line.str();
-  if (slow_file.is_open()) {
-    slow_file.write_line(text);
-    return;
-  }
-  const std::lock_guard<std::mutex> lock(slow_mutex);
-  std::fprintf(stderr, "%s\n", text.c_str());
-  std::fflush(stderr);
+  host.log_slow(line.str());
 }
 
 /// `{"op":"put"}`: a replica cache write from the router. The payload is
@@ -419,7 +293,7 @@ std::string Server::Impl::handle_put(const io::WireRequest& wire) {
   const canon::CacheKey key = canonical.key.mixed_with(wire.request.strategy);
   engine.cache()->insert(key, wire.request.strategy, canonical.pattern,
                          wire.put_report);
-  stat_puts.fetch_add(1, std::memory_order_relaxed);
+  puts->add(1);
   std::ostringstream out;
   out << "{";
   if (wire.id >= 0) out << "\"id\":" << wire.id << ",";
@@ -431,41 +305,23 @@ std::string Server::Impl::handle_put(const io::WireRequest& wire) {
 /// bind host plus the actually-bound port (resolves --port=0).
 std::string Server::Impl::advertised_endpoint() const {
   if (!options.advertise.empty()) return options.advertise;
-  const std::uint16_t bound = reactor ? reactor->port() : options.port;
+  const std::uint16_t bound = host.port() != 0 ? host.port() : options.port;
   return options.host + ":" + std::to_string(bound);
 }
-
-namespace {
-
-/// Block for one reply line on `fd` into `buffer`. False on EOF/error.
-bool read_reply_line(int fd, net::LineBuffer& buffer, std::string& line) {
-  char chunk[4096];
-  while (true) {
-    if (buffer.pop(line)) return true;
-    const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      buffer.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    return false;
-  }
-}
-
-}  // namespace
 
 /// Announce-path connect: a non-blocking dial polled in slices (so stop()
 /// lands within ~50 ms even against an unroutable router, instead of the
 /// kernel SYN timeout), then a bounded recv window (so a router that
 /// accepts but never answers cannot wedge the announce thread — stop()
 /// joins it). Returns -1 on any failure; the caller retries.
-int Server::Impl::dial_announce(const std::string& host, std::uint16_t port) {
+int Server::Impl::dial_announce(const std::string& host_name,
+                                std::uint16_t port) {
   const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK, 0);
   if (fd < 0) return -1;
   sockaddr_in addr{};
   addr.sin_family = AF_INET;
   addr.sin_port = htons(port);
-  if (::inet_pton(AF_INET, host.c_str(), &addr.sin_addr) != 1) {
+  if (::inet_pton(AF_INET, host_name.c_str(), &addr.sin_addr) != 1) {
     ::close(fd);
     return -1;
   }
@@ -475,8 +331,7 @@ int Server::Impl::dial_announce(const std::string& host, std::uint16_t port) {
       return -1;
     }
     bool connected = false;
-    for (int slice = 0;
-         slice < 40 && !stopping.load(std::memory_order_relaxed); ++slice) {
+    for (int slice = 0; slice < 40 && !host.stopping(); ++slice) {
       pollfd waiter{fd, POLLOUT, 0};
       const int ready = ::poll(&waiter, 1, 50);
       if (ready < 0 && errno == EINTR) continue;
@@ -505,10 +360,11 @@ int Server::Impl::dial_announce(const std::string& host, std::uint16_t port) {
 /// One announce session: dial the router, join, then heartbeat until the
 /// session breaks (router gone, eviction notice, or stop()). Returns true
 /// when the session ended because of stop() — the loop must not retry.
-bool Server::Impl::announce_round(const std::string& host, std::uint16_t port,
-                                  const std::string& self, std::size_t slot) {
-  const int fd = dial_announce(host, port);
-  if (fd < 0) return stopping.load(std::memory_order_relaxed);
+bool Server::Impl::announce_round(const std::string& host_name,
+                                  std::uint16_t port, const std::string& self,
+                                  std::size_t slot) {
+  const int fd = dial_announce(host_name, port);
+  if (fd < 0) return host.stopping();
   {
     std::lock_guard<std::mutex> lock(announce_mutex);
     announce_fds[slot] = fd;
@@ -520,38 +376,36 @@ bool Server::Impl::announce_round(const std::string& host, std::uint16_t port,
   bool stopped = false;
   bool joined = false;
   if (write_line(fd, "{\"op\":\"join\"," + endpoint_json) &&
-      read_reply_line(fd, buffer, reply))
+      net::read_line(fd, buffer, reply))
     joined = reply.find("\"joined\":true") != std::string::npos;
   // A router that answered but refused (not --dynamic, bad endpoint) must
   // not be indistinguishable from an unreachable one: the reject counter
   // shows up in this server's own stats verb.
-  if (!reply.empty() && !joined)
-    stat_join_rejects.fetch_add(1, std::memory_order_relaxed);
+  if (!reply.empty() && !joined) join_rejects->add(1);
   if (joined) {
-    stat_joins_sent.fetch_add(1, std::memory_order_relaxed);
+    joins_sent->add(1);
     // Heartbeat until the router stops answering or asks for a re-join.
-    while (!(stopped = stopping.load(std::memory_order_relaxed))) {
+    while (!(stopped = host.stopping())) {
       // Nap one heartbeat interval in slices so stop() lands promptly.
       const auto deadline =
           std::chrono::steady_clock::now() +
           std::chrono::duration<double, std::milli>(options.heartbeat_ms);
-      while (std::chrono::steady_clock::now() < deadline &&
-             !stopping.load(std::memory_order_relaxed)) {
+      while (std::chrono::steady_clock::now() < deadline && !host.stopping()) {
         timespec nap{0, 20 * 1000 * 1000};
         ::nanosleep(&nap, nullptr);
       }
-      if ((stopped = stopping.load(std::memory_order_relaxed))) break;
+      if ((stopped = host.stopping())) break;
       if (!write_line(fd, "{\"op\":\"heartbeat\"," + endpoint_json)) break;
-      if (!read_reply_line(fd, buffer, reply)) break;
+      if (!net::read_line(fd, buffer, reply)) break;
       if (reply.find("\"rejoin\":true") != std::string::npos) break;
     }
   }
   // A graceful stop says goodbye on the session it held; eviction after a
   // crash is the fallback, not the normal path. The session fd is only
   // read-shutdown by stop() (to wake a blocking reply read), so the leave
-  // write still goes through — re-check `stopping` because the wake-up
+  // write still goes through — re-check stopping() because the wake-up
   // itself surfaces as a failed read, not as `stopped`.
-  if (stopped || stopping.load(std::memory_order_relaxed))
+  if (stopped || host.stopping())
     write_line(fd, "{\"op\":\"leave\"," + endpoint_json);
   {
     // Deregister before closing: once the slot is -1 under the lock,
@@ -560,30 +414,29 @@ bool Server::Impl::announce_round(const std::string& host, std::uint16_t port,
     announce_fds[slot] = -1;
   }
   ::close(fd);
-  return stopped || stopping.load(std::memory_order_relaxed);
+  return stopped || host.stopping();
 }
 
 /// One announce client: join + heartbeat sessions against one router,
 /// retried with a pause while that router is unreachable. A fleet runs
 /// one of these per --announce entry.
 void Server::Impl::announce_loop(std::string router, std::size_t slot) {
-  std::string host;
+  std::string host_name;
   std::uint16_t port = 0;
-  if (!net::parse_endpoint(router, host, port)) return;
+  if (!net::parse_endpoint(router, host_name, port)) return;
   const std::string self = advertised_endpoint();
-  while (!announce_round(host, port, self, slot)) {
+  while (!announce_round(host_name, port, self, slot)) {
     // Router unreachable or session broken: pause one heartbeat before
     // re-dialing (also in slices, for prompt stop()).
     const auto deadline =
         std::chrono::steady_clock::now() +
         std::chrono::duration<double, std::milli>(
             std::max(50.0, options.heartbeat_ms));
-    while (std::chrono::steady_clock::now() < deadline &&
-           !stopping.load(std::memory_order_relaxed)) {
+    while (std::chrono::steady_clock::now() < deadline && !host.stopping()) {
       timespec nap{0, 20 * 1000 * 1000};
       ::nanosleep(&nap, nullptr);
     }
-    if (stopping.load(std::memory_order_relaxed)) break;
+    if (host.stopping()) break;
   }
 }
 
@@ -602,7 +455,7 @@ struct PendingLine {
   /// Reply framing: the mode + frame type of the triggering message. A
   /// type-1 binary solve answers with a type-2 report (or type-3 error);
   /// everything else answers JSON, framed per `mode`.
-  rnet::WireMode mode = rnet::WireMode::Line;
+  net::WireMode mode = net::WireMode::Line;
   std::uint8_t frame_type = 0;
   std::size_t rows = 0;  ///< Pattern shape for the binary report encoding.
   std::size_t cols = 0;
@@ -626,9 +479,8 @@ struct PendingLine {
 /// Parse, admit, solve, and answer one micro-batch, preserving message
 /// order. Runs on a reactor worker; replies cork into the connection's
 /// write queue (one writev per batch on the happy path).
-void Server::Impl::process_batch(const rnet::ConnPtr& conn,
-                                 std::vector<rnet::Message> messages) {
-  Impl& impl = *this;
+void Server::Impl::process_batch(const net::ConnPtr& conn,
+                                 std::vector<net::Message> messages) {
   const std::shared_ptr<ConnState> state = conn_state(conn);
   const std::uint64_t batch_start_us = obs::steady_micros();
   std::vector<PendingLine> pending(messages.size());
@@ -637,22 +489,17 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
 
   for (std::size_t i = 0; i < messages.size(); ++i) {
     PendingLine& p = pending[i];
-    const rnet::Message& m = messages[i];
+    const net::Message& m = messages[i];
     p.mode = m.mode;
     p.frame_type = m.frame_type;
     if (m.upgrade) {
-      // The negotiation ack: the extractor already flipped the input
-      // framing, so this is the connection's last line-framed reply.
-      const std::int64_t id = io::salvage_request_id(m.payload);
-      p.id = id;
-      p.immediate =
-          id >= 0 ? "{\"id\":" + std::to_string(id) + ",\"upgraded\":true}"
-                  : "{\"upgraded\":true}";
+      p.id = io::salvage_request_id(m.payload);
+      p.immediate = net::upgrade_ack(p.id);
       continue;
     }
     io::WireRequest wire;
-    if (m.mode == rnet::WireMode::Binary &&
-        m.frame_type == rnet::kFrameSolveRequest) {
+    if (m.mode == net::WireMode::Binary &&
+        m.frame_type == net::kFrameSolveRequest) {
       try {
         wire = io::parse_binary_request(m.payload);
       } catch (const std::exception& e) {
@@ -660,8 +507,8 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
         p.id = io::binary_salvage_id(m.payload);
         continue;
       }
-    } else if (m.mode == rnet::WireMode::Binary &&
-               m.frame_type != rnet::kFrameJson) {
+    } else if (m.mode == net::WireMode::Binary &&
+               m.frame_type != net::kFrameJson) {
       p.error = "unexpected frame type " + std::to_string(m.frame_type) +
                 " (clients send solve or json frames)";
       continue;
@@ -684,75 +531,27 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     p.id = wire.id;
     if (wire.op == io::WireOp::Stats) {
       // Admin verb: answered from counters, never admitted or solved.
-      p.immediate = impl.stats_json(wire.id);
+      p.immediate = stats_json(wire.id);
+      continue;
+    }
+    bool admin_error = false;
+    if (std::optional<std::string> reply = host.admin_reply(wire, &admin_error)) {
+      p.immediate = std::move(*reply);
       continue;
     }
     if (wire.op == io::WireOp::Metrics) {
-      // Prometheus text exposition, wrapped in one JSON line (the protocol
-      // is line-framed); `ebmf client --metrics` unwraps the body. Fleet
-      // scope is a router capability — a backend only has itself.
-      if (!wire.scope.empty() && wire.scope != "self" &&
-          wire.scope != "local") {
-        p.error = wire.scope == "fleet"
-                      ? "metrics scope 'fleet' needs a router (ebmf route)"
-                      : "field 'scope' must be self|local" +
-                            std::string(" (got '") + wire.scope + "')";
-        continue;
-      }
-      std::ostringstream reply;
-      reply << "{";
-      if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-      reply << "\"metrics\":true,\"content_type\":\"text/plain; "
-               "version=0.0.4\",\"body\":\""
-            << io::json::escape(
-                   obs::prometheus_text(obs::default_registry()))
-            << "\"}";
-      p.immediate = reply.str();
-      continue;
-    }
-    if (wire.op == io::WireOp::Events) {
-      // Flight-recorder snapshot on demand: the merged, tick-ordered tail
-      // of every thread's event ring.
-      std::ostringstream reply;
-      reply << "{";
-      if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-      reply << "\"events\":" << obs::events_json(obs::snapshot_events())
-            << "}";
-      p.immediate = reply.str();
+      // Fleet scope is a router capability — a backend only has itself.
+      p.error = wire.scope == "fleet"
+                    ? "metrics scope 'fleet' needs a router (ebmf route)"
+                    : "field 'scope' must be self|local" +
+                          std::string(" (got '") + wire.scope + "')";
       continue;
     }
     if (wire.op == io::WireOp::Watch) {
-      // Streams on this connection from a dedicated thread until the
+      // Streams on this connection from a host watch thread until the
       // watched solve retires; the batch moves on immediately.
-      impl.handle_watch(conn, wire.id, p.mode);
+      handle_watch(conn, wire.id, p.mode);
       p.skip = true;
-      continue;
-    }
-    if (wire.op == io::WireOp::Trace) {
-      std::uint64_t hi = 0;
-      std::uint64_t lo = 0;
-      obs::parse_trace_id(wire.trace_id, &hi, &lo);
-      const std::vector<obs::Span> spans = impl.traces.find(hi, lo);
-      p.immediate = spans.empty()
-                        ? error_json("unknown trace id", "", wire.id)
-                        : obs::trace_tree_json(wire.trace_id, spans);
-      continue;
-    }
-    if (wire.op == io::WireOp::Traces) {
-      std::ostringstream reply;
-      reply << "{";
-      if (wire.id >= 0) reply << "\"id\":" << wire.id << ",";
-      reply << "\"traces\":[";
-      const auto recent = impl.traces.recent(32);
-      for (std::size_t t = 0; t < recent.size(); ++t) {
-        if (t != 0) reply << ",";
-        reply << "{\"id\":\"" << recent[t].id << "\",\"root\":\""
-              << io::json::escape(recent[t].root)
-              << "\",\"dur_us\":" << recent[t].dur_us
-              << ",\"spans\":" << recent[t].spans << "}";
-      }
-      reply << "]}";
-      p.immediate = reply.str();
       continue;
     }
     if (wire.op == io::WireOp::Put) {
@@ -760,19 +559,16 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       // same admission gate as solves — canonicalization + certificate
       // validation on untrusted payloads is real work, and a put flood
       // must shed exactly like a solve flood.
-      if (!impl.try_admit()) {
-        impl.stat_rejected.fetch_add(1, std::memory_order_relaxed);
-        impl.obs_rejected->add(1);
-        p.error = "overloaded: " + std::to_string(impl.options.max_inflight) +
-                  " requests already in flight";
+      if (!host.try_admit()) {
+        p.error = host.overloaded_message();
         continue;
       }
       p.admitted = true;
       ++admitted;
-      p.immediate = impl.handle_put(wire);
+      p.immediate = handle_put(wire);
       if (p.immediate.rfind("{\"error\"", 0) == 0 ||
           p.immediate.find(",\"error\"", 0) != std::string::npos)
-        impl.stat_errors.fetch_add(1, std::memory_order_relaxed);
+        host.errors->add(1);
       continue;
     }
     if (wire.op == io::WireOp::Join || wire.op == io::WireOp::Leave ||
@@ -787,11 +583,8 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     p.include_partition = wire.include_partition;
     p.rows = wire.request.matrix.rows();
     p.cols = wire.request.matrix.cols();
-    if (!impl.try_admit()) {
-      impl.stat_rejected.fetch_add(1, std::memory_order_relaxed);
-      impl.obs_rejected->add(1);
-      p.error = "overloaded: " + std::to_string(impl.options.max_inflight) +
-                " requests already in flight";
+    if (!host.try_admit()) {
+      p.error = host.overloaded_message();
       continue;
     }
     p.admitted = true;
@@ -800,7 +593,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
     // Per-request deadline: the client's budget capped by the server
     // ceiling; no budget means exactly the ceiling. Every budget shares
     // the connection's cancellation flag.
-    const double ceiling = impl.options.budget_ceiling_seconds;
+    const double ceiling = options.budget_ceiling_seconds;
     double seconds = wire.budget_seconds;
     if (ceiling > 0) seconds = seconds > 0 ? std::min(seconds, ceiling) : ceiling;
     if (seconds > 0) wire.request.budget.deadline = Deadline::after(seconds);
@@ -813,10 +606,10 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       p.sink = std::make_shared<obs::ProgressSink>();
       p.watch_id = wire.id;
       wire.request.budget.progress = p.sink;
-      const std::lock_guard<std::mutex> lock(impl.inflight_mutex);
-      impl.inflight_watch[wire.id] =
-          Impl::InflightEntry{p.sink, wire.request.strategy,
-                              wire.request.label, obs::steady_micros()};
+      const std::lock_guard<std::mutex> lock(inflight_mutex);
+      inflight_watch[wire.id] =
+          InflightEntry{p.sink, wire.request.strategy, wire.request.label,
+                        obs::steady_micros()};
     }
 
     if (wire.has_trace) {
@@ -851,17 +644,16 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
                         p.trace->created_us(), queue_end_us);
   }
   std::vector<engine::SolveReport> reports;
-  if (!batch.empty())
-    reports = impl.engine.solve_batch(batch, impl.options.threads);
+  if (!batch.empty()) reports = engine.solve_batch(batch, options.threads);
   for (PendingLine& p : pending) {
     if (!p.split) continue;
     try {
-      p.report = impl.engine.solve_split(p.wire->request, p.wire->threads);
+      p.report = engine.solve_split(p.wire->request, p.wire->threads);
     } catch (const std::exception& e) {
       p.error = e.what();
     }
   }
-  impl.release_admitted(admitted);
+  host.release_admitted(admitted);
 
   // Retire the watchable solves: finishing the sink releases every watcher
   // (their connections get the final done line); unregister only our own
@@ -869,29 +661,28 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
   for (PendingLine& p : pending) {
     if (!p.sink) continue;
     p.sink->finish();
-    const std::lock_guard<std::mutex> lock(impl.inflight_mutex);
-    const auto it = impl.inflight_watch.find(p.watch_id);
-    if (it != impl.inflight_watch.end() && it->second.sink == p.sink)
-      impl.inflight_watch.erase(it);
+    const std::lock_guard<std::mutex> lock(inflight_mutex);
+    const auto it = inflight_watch.find(p.watch_id);
+    if (it != inflight_watch.end() && it->second.sink == p.sink)
+      inflight_watch.erase(it);
   }
 
   for (PendingLine& p : pending) {
     if (p.skip) continue;
-    const bool binary_solve = p.mode == rnet::WireMode::Binary &&
-                              p.frame_type == rnet::kFrameSolveRequest;
+    const bool binary_solve = p.mode == net::WireMode::Binary &&
+                              p.frame_type == net::kFrameSolveRequest;
     std::string reply;          // JSON reply line (non-binary-solve paths)
     std::string payload;        // binary frame payload (binary solve path)
-    std::uint8_t out_type = rnet::kFrameSolveReport;
+    std::uint8_t out_type = net::kFrameSolveReport;
     std::string events_json;    // the splices a binary report carries as
     std::string spans_json;     // raw strings instead of reply-text edits
     const engine::SolveReport* done = nullptr;
     if (!p.immediate.empty()) {
       reply = p.immediate;
     } else if (!p.error.empty()) {
-      impl.stat_errors.fetch_add(1, std::memory_order_relaxed);
-      impl.obs_errors->add(1);
+      host.errors->add(1);
       if (binary_solve) {
-        out_type = rnet::kFrameError;
+        out_type = net::kFrameError;
         payload = io::binary_error_payload(p.id, p.error, p.label);
       } else {
         reply = error_json(p.error, p.label, p.id);
@@ -902,17 +693,15 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       // solve_batch converts per-request failures (unknown strategy) into
       // "error" telemetry; surface those as protocol errors too.
       if (const std::string* error = report.find_telemetry("error")) {
-        impl.stat_errors.fetch_add(1, std::memory_order_relaxed);
-        impl.obs_errors->add(1);
+        host.errors->add(1);
         if (binary_solve) {
-          out_type = rnet::kFrameError;
+          out_type = net::kFrameError;
           payload = io::binary_error_payload(p.id, *error, report.label);
         } else {
           reply = error_json(*error, report.label, p.id);
         }
       } else {
-        impl.stat_requests.fetch_add(1, std::memory_order_relaxed);
-        impl.obs_requests->add(1);
+        host.requests->add(1);
         done = &report;
         const std::string* cache_hit = report.find_telemetry("cache_hit");
         if (report.status == engine::Status::Bounded &&
@@ -953,30 +742,27 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
                    "\",\"spans\":" + spans_json + "}}";
         }
       }
-      impl.traces.add(ctx.hi, ctx.lo, std::move(spans));
+      host.traces().add(ctx.hi, ctx.lo, std::move(spans));
     }
     if (done && binary_solve)
       payload = io::binary_report_payload(*done, p.include_partition, p.id,
                                           p.rows, p.cols, events_json,
                                           spans_json);
     if (done || !p.error.empty()) {
-      impl.obs_request->record(elapsed_us);
+      host.request_micros->record(elapsed_us);
       if (done)
-        obs::default_registry()
+        host.registry()
             .histogram("server.solve." + done->strategy + ".micros")
             ->record(elapsed_us);
     }
-    if (done && impl.options.slow_ms > 0) {
-      const double elapsed_ms = static_cast<double>(elapsed_us) / 1000.0;
-      if (elapsed_ms >= impl.options.slow_ms)
-        impl.log_slow(*done, elapsed_ms, trace_hex);
-    }
+    if (done && host.is_slow(elapsed_us))
+      log_slow(*done, static_cast<double>(elapsed_us) / 1000.0, trace_hex);
 
     // Enqueue through the reactor: the loop corks this whole batch's
     // replies into one writev. A false return means the connection died;
     // remaining replies are dropped with it (its budget was cancelled by
     // on_close already).
-    conn->send(binary_solve ? rnet::encode_frame(out_type, payload)
+    conn->send(binary_solve ? net::encode_frame(out_type, payload)
                             : framed_json(p.mode, reply));
     if (p.trace) {
       // The reply-write span can't ride in the reply it measures; it lands
@@ -988,7 +774,7 @@ void Server::Impl::process_batch(const rnet::ConnPtr& conn,
       write_span.start_us = done_us;
       write_span.dur_us = obs::steady_micros() - done_us;
       const obs::TraceContext& ctx = p.trace->context();
-      impl.traces.add(ctx.hi, ctx.lo, {write_span});
+      host.traces().add(ctx.hi, ctx.lo, {write_span});
     }
   }
 }
@@ -1000,75 +786,26 @@ Server::~Server() { stop(); }
 
 void Server::start() {
   Impl& impl = *impl_;
-  rnet::ReactorOptions reactor_options;
-  reactor_options.host = impl.options.host;
-  reactor_options.port = impl.options.port;
-  reactor_options.event_loops = impl.options.io_threads;
-  reactor_options.workers = impl.options.io_workers;
-  reactor_options.max_batch = impl.options.max_batch;
-  reactor_options.max_message_bytes = impl.options.max_line_bytes;
-  reactor_options.idle_timeout_seconds = impl.options.idle_timeout_seconds;
-
-  rnet::ReactorCallbacks callbacks;
-  callbacks.on_open = [&impl](const rnet::ConnPtr& conn) {
-    conn->set_user(std::make_shared<ConnState>());
-    impl.stat_connections.fetch_add(1, std::memory_order_relaxed);
-  };
-  callbacks.on_batch = [&impl](const rnet::ConnPtr& conn,
-                               std::vector<rnet::Message> messages) {
-    impl.process_batch(conn, std::move(messages));
-  };
-  callbacks.protocol_error_reply = [](rnet::WireMode mode,
-                                      const std::string& message) {
-    if (mode == rnet::WireMode::Line)
-      return error_json(message, "") + "\n";
-    return rnet::encode_frame(rnet::kFrameError,
-                              io::binary_error_payload(-1, message, ""));
-  };
-  callbacks.on_close = [&impl](const rnet::ConnPtr& conn, bool aborted) {
-    // A hard death (RST, write overflow) cancels the connection's budgets —
-    // the anytime contract turns that into a fast valid return, freeing
-    // the admission slot. An orderly FIN keeps them: one-shot clients
-    // half-close and then read their answers.
-    if (!aborted) return;
-    if (const std::shared_ptr<ConnState> state = conn_state(conn))
-      state->cancel->store(true, std::memory_order_relaxed);
-  };
-
-  impl.reactor = std::make_unique<rnet::ReactorServer>(
-      std::move(reactor_options), std::move(callbacks));
-  impl.reactor->start();
-  impl.stopping = false;
-  impl.running = true;
+  impl.host.start();
   // The announce clients start after the listener so the advertised
-  // endpoint carries the actually-bound port (resolves --port=0).
-  // --announce takes a comma-separated router list; one session per
-  // router keeps the whole fleet's liveness views fresh.
-  if (!impl.options.announce.empty()) {
-    std::vector<std::string> routers;
-    std::size_t start = 0;
-    while (start <= impl.options.announce.size()) {
-      std::size_t comma = impl.options.announce.find(',', start);
-      if (comma == std::string::npos) comma = impl.options.announce.size();
-      std::string entry = impl.options.announce.substr(start, comma - start);
-      if (!entry.empty()) routers.push_back(std::move(entry));
-      start = comma + 1;
-    }
-    impl.announce_fds.assign(routers.size(), -1);
-    for (std::size_t slot = 0; slot < routers.size(); ++slot)
-      impl.announce_threads.emplace_back(
-          [&impl, router = routers[slot], slot]() {
-            impl.announce_loop(router, slot);
-          });
-  }
+  // endpoint carries the actually-bound port (resolves --port=0). One
+  // session per router of the --announce list keeps the whole fleet's
+  // liveness views fresh.
+  std::vector<std::string> routers;
+  net::parse_endpoint_list(impl.options.announce, routers);
+  impl.announce_fds.assign(routers.size(), -1);
+  for (std::size_t slot = 0; slot < routers.size(); ++slot)
+    impl.announce_threads.emplace_back(
+        [&impl, router = routers[slot], slot]() {
+          impl.announce_loop(router, slot);
+        });
 }
 
 void Server::stop() {
   Impl& impl = *impl_;
-  if (impl.stopping.exchange(true)) return;
-  if (!impl.running.load()) return;
+  if (!impl.host.begin_stop()) return;
 
-  // 0. Say goodbye to the routers first: each announce thread sends its
+  // Say goodbye to the routers first: each announce thread sends its
   // best-effort leave on the way out (a blocking heartbeat read is woken
   // by shutting its socket down), so the fleet stops routing here before
   // the drain closes any connection.
@@ -1081,44 +818,25 @@ void Server::stop() {
     if (t.joinable()) t.join();
   impl.announce_threads.clear();
 
-  // 1. Drain the reactor: stop accepting and reading (messages already
-  // buffered keep flowing to the handlers), then cancel every in-flight
-  // budget — the anytime contract turns that into fast valid replies —
-  // and let shutdown() answer what was accepted, flush, and join.
-  if (impl.reactor) {
-    impl.reactor->begin_drain();
-    for (const rnet::ConnPtr& conn : impl.reactor->connections())
-      if (const std::shared_ptr<ConnState> state = conn_state(conn))
-        state->cancel->store(true, std::memory_order_relaxed);
-    impl.reactor->shutdown();
-  }
-
-  // 2. Watch streams exit on `stopping` + their sinks finishing.
-  impl.reap_watch_threads(true);
-
-  // Flush-on-drain: the tail of the slow log and trace file must survive
-  // the SIGTERM that triggered this stop.
-  impl.slow_file.flush();
-  impl.traces.flush();
-  impl.running = false;
+  // Then the drain: on_drain cancels every in-flight budget, and the
+  // anytime contract turns that into fast valid replies.
+  impl.host.drain();
 }
 
-bool Server::running() const noexcept { return impl_->running.load(); }
+bool Server::running() const noexcept { return impl_->host.running(); }
 
-std::uint16_t Server::port() const noexcept {
-  return impl_->reactor ? impl_->reactor->port() : 0;
-}
+std::uint16_t Server::port() const noexcept { return impl_->host.port(); }
 
 ServerStats Server::stats() const {
+  const Impl& impl = *impl_;
   ServerStats out;
-  out.connections = impl_->stat_connections.load(std::memory_order_relaxed);
-  out.requests = impl_->stat_requests.load(std::memory_order_relaxed);
-  out.errors = impl_->stat_errors.load(std::memory_order_relaxed);
-  out.rejected = impl_->stat_rejected.load(std::memory_order_relaxed);
-  out.puts = impl_->stat_puts.load(std::memory_order_relaxed);
-  out.joins_sent = impl_->stat_joins_sent.load(std::memory_order_relaxed);
-  out.join_rejects =
-      impl_->stat_join_rejects.load(std::memory_order_relaxed);
+  out.connections = impl.host.connections->value();
+  out.requests = impl.host.requests->value();
+  out.errors = impl.host.errors->value();
+  out.rejected = impl.host.rejected->value();
+  out.puts = impl.puts->value();
+  out.joins_sent = impl.joins_sent->value();
+  out.join_rejects = impl.join_rejects->value();
   return out;
 }
 
@@ -1233,19 +951,9 @@ void Client::send_line(const std::string& line) {
 
 std::string Client::read_line() {
   if (fd_ < 0) throw std::runtime_error("client is closed");
-  char chunk[16384];
   std::string line;
-  while (true) {
-    if (buffer_.pop(line)) return line;
-    const ssize_t n = ::recv(fd_, chunk, sizeof chunk, 0);
-    if (n > 0) {
-      buffer_.append(chunk, static_cast<std::size_t>(n));
-      continue;
-    }
-    if (n < 0 && errno == EINTR) continue;
-    if (buffer_.flush(line)) return line;
-    throw std::runtime_error("server closed the connection");
-  }
+  if (net::read_line(fd_, buffer_, line) || buffer_.flush(line)) return line;
+  throw std::runtime_error("server closed the connection");
 }
 
 std::string Client::round_trip(const std::string& line) {
@@ -1314,77 +1022,31 @@ void Client::close() {
 
 // ---- serve_forever --------------------------------------------------------
 
-namespace {
-
-volatile std::sig_atomic_t g_signal = 0;
-
-void on_signal(int sig) { g_signal = sig; }
-
-}  // namespace
-
 int serve_forever(const ServerOptions& options, std::ostream& log) {
   Server server(options);
-
-  // Cache persistence: reload the previous run's snapshot before serving.
-  if (!options.cache_file.empty() && server.engine().cache()) {
-    std::string warning;
-    const std::size_t loaded =
-        server.engine().cache()->load_file(options.cache_file, &warning);
-    if (!warning.empty()) log << "cache-file: " << warning << std::endl;
-    if (loaded > 0)
-      log << "cache-file: reloaded " << loaded << " entries from "
-          << options.cache_file << std::endl;
-  }
-
-  try {
+  cache::ResultCache* const cache = server.engine().cache().get();
+  const auto start = [&]() {
     server.start();
-  } catch (const std::exception& e) {
-    log << "error: " << e.what() << "\n";
-    return 1;
-  }
-
-  g_signal = 0;
-  struct sigaction action{};
-  action.sa_handler = on_signal;
-  ::sigaction(SIGTERM, &action, nullptr);
-  ::sigaction(SIGINT, &action, nullptr);
-  ::signal(SIGPIPE, SIG_IGN);  // all writers already use MSG_NOSIGNAL
-
-  log << "ebmf service listening on " << options.host << ":" << server.port()
-      << " (threads=" << options.threads << ", cache-mb=" << options.cache_mb
-      << ", max-inflight=" << options.max_inflight << ")" << std::endl;
-
-  while (g_signal == 0) {
-    timespec nap{0, 100 * 1000 * 1000};
-    ::nanosleep(&nap, nullptr);
-  }
-
-  log << "signal " << static_cast<int>(g_signal) << " received, draining"
-      << std::endl;
-  server.stop();
-  const ServerStats stats = server.stats();
-  log << "served " << stats.requests << " requests, " << stats.errors
-      << " errors, " << stats.rejected << " rejected, across "
-      << stats.connections << " connections";
-  if (server.engine().cache()) {
-    const cache::CacheStats cache_stats = server.engine().cache()->stats();
-    log << "; cache " << cache_stats.hits << " hits / " << cache_stats.misses
-        << " misses / " << cache_stats.evictions << " evictions";
-  }
-  log << std::endl;
-
-  // Snapshot the drained cache so the next start answers warm.
-  if (!options.cache_file.empty() && server.engine().cache()) {
-    std::string error;
-    if (server.engine().cache()->save_file(options.cache_file, &error)) {
-      log << "cache-file: saved "
-          << server.engine().cache()->stats().entries << " entries to "
-          << options.cache_file << std::endl;
-    } else {
-      log << "cache-file: " << error << std::endl;
+    log << "ebmf service listening on " << options.host << ":"
+        << server.port() << " (threads=" << options.threads
+        << ", cache-mb=" << options.cache_mb
+        << ", max-inflight=" << options.max_inflight << ")" << std::endl;
+  };
+  const auto drain = [&]() {
+    server.stop();
+    const ServerStats stats = server.stats();
+    log << "served " << stats.requests << " requests, " << stats.errors
+        << " errors, " << stats.rejected << " rejected, across "
+        << stats.connections << " connections";
+    if (cache != nullptr) {
+      const cache::CacheStats cache_stats = cache->stats();
+      log << "; cache " << cache_stats.hits << " hits / "
+          << cache_stats.misses << " misses / " << cache_stats.evictions
+          << " evictions";
     }
-  }
-  return 0;
+    log << std::endl;
+  };
+  return net::run_until_signal(options.cache_file, cache, log, start, drain);
 }
 
 }  // namespace ebmf::service

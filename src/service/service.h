@@ -14,12 +14,13 @@
 ///    connection stays open. A connection may upgrade to the binary frame
 ///    protocol (net/frame.h, io/binary_io.h) with `{"op":"upgrade"}`; the
 ///    line protocol stays the default for old clients and `nc`.
-///  * **Concurrency.** Connections live on the epoll reactor
-///    (net/reactor.h): a few event-loop threads own all sockets, and
-///    complete messages are micro-batched to a worker pool — at most one
-///    batch in flight per connection, so pipelined replies stay in request
-///    order — then through Engine::solve_batch, which fans them across the
-///    engine's thread pool. A global in-flight limit (admission control)
+///  * **Concurrency.** The server is a handler on the tier host
+///    (net/host.h), which owns the epoll reactor (net/reactor.h): a few
+///    event-loop threads own all sockets, and complete messages are
+///    micro-batched to a worker pool — at most one batch in flight per
+///    connection, so pipelined replies stay in request order — then
+///    through Engine::solve_batch, which fans them across the engine's
+///    thread pool. The host's global in-flight limit (admission control)
 ///    sheds load with an `overloaded` error instead of queueing
 ///    unboundedly, and every request runs under a deadline — its own
 ///    `budget` capped by the server ceiling — so a slot is always
@@ -33,9 +34,14 @@
 ///    for a graceful drain: accepted requests are answered, then
 ///    connections close.
 ///
+///  * **Counters.** Every server series (`server.requests`, `.errors`,
+///    `.rejected`, `.puts`, ...) lives once, in the host's instance
+///    registry: the stats verb, stats() and the Prometheus exposition read
+///    the same numbers, and two servers in one process count apart.
+///
 /// Server is usable in-process (tests bind port 0 and connect with
-/// Client); serve_forever() is the `ebmf serve` entry point wiring
-/// SIGTERM/SIGINT to the drain.
+/// Client); serve_forever() is the `ebmf serve` entry point, the host's
+/// signal loop wiring SIGTERM/SIGINT to the drain.
 
 #include <cstdint>
 #include <iosfwd>
@@ -45,34 +51,23 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "net/host.h"
+#include "net/net.h"
 #include "service/cache.h"
-#include "service/net.h"
 
 namespace ebmf::service {
 
-/// Knobs of one server instance (CLI flags map 1:1).
-struct ServerOptions {
-  std::uint16_t port = 7421;       ///< 0 = pick an ephemeral port.
-  std::string host = "127.0.0.1";  ///< Bind address.
+/// Knobs of one server instance (CLI flags map 1:1). The reactor,
+/// admission, sink and `--cache-file` knobs are net::HostOptions'.
+struct ServerOptions : net::HostOptions {
+  ServerOptions() { port = 7421; }
+
   std::size_t threads = 0;  ///< solve_batch/split workers (0 = hardware).
   double cache_mb = 64.0;   ///< Canonical result cache budget (0 = off).
-  std::size_t max_inflight = 256;  ///< Global admission limit.
   /// Per-request deadline ceiling in seconds. A request's own `budget` is
   /// capped by this; requests without one get exactly this. 0 = no ceiling
   /// (trusted clients only).
   double budget_ceiling_seconds = 10.0;
-  std::size_t max_batch = 32;  ///< Pipelined lines solved per batch.
-  std::size_t max_line_bytes = 4u << 20;  ///< Oversized line/frame guard.
-  std::size_t io_threads = 2;  ///< Reactor event-loop threads.
-  std::size_t io_workers = 0;  ///< Reactor handler threads (0 = auto).
-  /// Reap connections with no traffic, no queued output, and no solve in
-  /// flight for this long (half-open peers). 0 = never.
-  double idle_timeout_seconds = 0.0;
-  /// Cache persistence across restarts: when non-empty, serve_forever
-  /// reloads the result cache from this snapshot on start (corrupt or
-  /// version-mismatched files are ignored with a warning) and rewrites it
-  /// after the SIGTERM drain.
-  std::string cache_file;
   /// Cluster announcement (`--announce=HOST:PORT[,HOST:PORT...]`): when
   /// non-empty, the server dials each listed router after binding, sends
   /// `{"op":"join"}` with its own endpoint, heartbeats every
@@ -80,24 +75,16 @@ struct ServerOptions {
   /// backoff), and sends a best-effort `{"op":"leave"}` on stop(). A
   /// router fleet is listed in full: heartbeats keep every router's local
   /// liveness view fresh, so a follower taking the lease already knows
-  /// this backend is alive. Empty = PR 4 behavior, no control plane.
+  /// this backend is alive. Empty = no control plane.
   std::string announce;
   /// The endpoint announced to the router ("" = host:bound-port — override
   /// when the router must dial a different address than the bind one).
   std::string advertise;
   double heartbeat_ms = 500.0;  ///< Announce heartbeat cadence.
-  /// Slow-request log (`--slow-ms`): any solve whose wall-clock exceeds
-  /// this many milliseconds is appended — with trace id, canonical key
-  /// prefix, strategy, and per-phase timings — as one JSON line to
-  /// `slow_log` (or stderr when empty). 0 = off.
-  double slow_ms = 0.0;
-  std::string slow_log;  ///< `--slow-log=PATH`; empty = stderr.
-  /// Completed traces additionally append to this JSON-lines file
-  /// (`--trace-file=PATH`); empty = ring only.
-  std::string trace_file;
 };
 
-/// Point-in-time server counters (drain report, tests).
+/// Point-in-time server counters (drain report, tests), read from the
+/// server's instance registry (net/host.h) like the stats verb.
 struct ServerStats {
   std::uint64_t connections = 0;  ///< Accepted since start.
   std::uint64_t requests = 0;     ///< Lines answered with a report.

@@ -5,7 +5,7 @@
 /// The HA drills need to prove the fleet survives the failures that happen
 /// in production — half-open connections, slow replies, writes torn mid-line
 /// — not just clean kill -9s. This layer compiles the failure modes straight
-/// into `service::net` so every tier (client, router pools, peer sync,
+/// into `net/net.h` so every tier (client, router pools, peer sync,
 /// backend announce) exercises the same degraded transport.
 ///
 /// Faults are off by default and cost one relaxed atomic load on the hot
@@ -75,7 +75,7 @@ void reset();
 /// Injection counts so far.
 [[nodiscard]] Stats stats();
 
-// ---- hooks called from service::net (cheap no-ops when inert) -------------
+// ---- hooks called from net/net.cpp (cheap no-ops when inert) -------------
 
 /// True if this connect attempt should fail artificially.
 bool should_drop_connect();

@@ -238,7 +238,6 @@ TEST(EngineGap, GapZeroIffProvedOptimal) {
     EXPECT_TRUE(report.proven_optimal());
     EXPECT_EQ(report.gap, 0u);
     EXPECT_EQ(report.lower_bound, report.upper_bound);
-    EXPECT_EQ(report.incumbent_depth, report.upper_bound);
   }
   // Bounded case: gap 20² k=6 (seed 2) stays open past a short budget
   // here — SAP returns an incumbent with an open, correctly-sized gap.
@@ -249,7 +248,7 @@ TEST(EngineGap, GapZeroIffProvedOptimal) {
     request.budget = Budget::after(1.0);
     const auto report = engine.solve(request);
     EXPECT_FALSE(report.partition.empty());
-    EXPECT_EQ(report.incumbent_depth, report.partition.size());
+    EXPECT_EQ(report.upper_bound, report.partition.size());
     EXPECT_EQ(report.gap, report.upper_bound - report.lower_bound);
     EXPECT_EQ(report.gap == 0, report.proven_optimal());
   }
@@ -353,7 +352,6 @@ SolveReport pinned_report() {
   report.status = Status::Bounded;
   report.lower_bound = 2;
   report.upper_bound = 3;
-  report.incumbent_depth = 3;
   report.gap = 1;
   report.total_seconds = 0.000125;
   report.add_timing("rank", 1.5e-05);

@@ -21,7 +21,7 @@
 #include "cluster/replica.h"
 #include "io/request_io.h"
 #include "router/router.h"
-#include "service/net.h"
+#include "net/net.h"
 #include "service/service.h"
 #include "support/fault.h"
 
@@ -186,20 +186,20 @@ TEST(FaultInjection, SpecParsesKnownKeysAndRejectsGarbage) {
 
 TEST(FaultInjection, DropConnectMakesTcpConnectFail) {
   FaultGuard guard;
-  service::net::TcpListener listener;
+  net::TcpListener listener;
   listener.listen("127.0.0.1", 0);
 
   fault::Config config;
   config.drop_connect = 1.0;
   fault::configure(config);
   const std::uint64_t before = fault::stats().connect_drops;
-  EXPECT_THROW(service::net::tcp_connect("127.0.0.1", listener.port()),
+  EXPECT_THROW(net::tcp_connect("127.0.0.1", listener.port()),
                std::runtime_error);
   EXPECT_GT(fault::stats().connect_drops, before);
 
   // Disarmed, the same dial succeeds — the listener was healthy all along.
   fault::reset();
-  const int fd = service::net::tcp_connect("127.0.0.1", listener.port());
+  const int fd = net::tcp_connect("127.0.0.1", listener.port());
   EXPECT_GE(fd, 0);
   ::close(fd);
 }
@@ -213,7 +213,7 @@ TEST(FaultInjection, DropWriteAndTornWriteBreakTheLine) {
   config.drop_write = 1.0;
   fault::configure(config);
   const std::uint64_t drops = fault::stats().write_drops;
-  EXPECT_FALSE(service::net::write_line(pair[0], "{\"op\":\"stats\"}"));
+  EXPECT_FALSE(net::write_line(pair[0], "{\"op\":\"stats\"}"));
   EXPECT_GT(fault::stats().write_drops, drops);
   ::close(pair[0]);
   ::close(pair[1]);
@@ -223,7 +223,7 @@ TEST(FaultInjection, DropWriteAndTornWriteBreakTheLine) {
   config.torn_write = 1.0;
   fault::configure(config);
   const std::uint64_t tears = fault::stats().torn_writes;
-  EXPECT_FALSE(service::net::write_line(pair[0], "{\"op\":\"stats\"}"));
+  EXPECT_FALSE(net::write_line(pair[0], "{\"op\":\"stats\"}"));
   EXPECT_GT(fault::stats().torn_writes, tears);
   // The peer got a strict prefix: some bytes, never a full line.
   fault::reset();
@@ -344,7 +344,7 @@ service::ServerOptions backend_options() {
 /// it. The tiny reuse race is acceptable in tests; routers need to know
 /// each other's addresses before either has started.
 std::uint16_t reserve_port() {
-  service::net::TcpListener probe;
+  net::TcpListener probe;
   probe.listen("127.0.0.1", 0);
   return probe.port();
 }
@@ -503,10 +503,10 @@ TEST(Fleet, UnreachableLeaseholderYieldsEpochStampedRedirect) {
 
   // Raw wire exchange (service::Client would chase the redirect): the
   // follower names the leaseholder it still believes in, epoch-stamped.
-  const int fd = service::net::tcp_connect("127.0.0.1", follower->port());
-  ASSERT_TRUE(service::net::write_line(
+  const int fd = net::tcp_connect("127.0.0.1", follower->port());
+  ASSERT_TRUE(net::write_line(
       fd, "{\"id\":9,\"op\":\"join\",\"endpoint\":\"127.0.0.1:1\"}"));
-  service::net::LineBuffer buffer;
+  net::LineBuffer buffer;
   std::string reply;
   char chunk[4096];
   while (!buffer.pop(reply)) {

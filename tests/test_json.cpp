@@ -182,7 +182,6 @@ TEST(JsonDom, ServedRepliesRoundTripByteForByte) {
     EXPECT_EQ(parsed.status, report.status);
     EXPECT_EQ(parsed.lower_bound, report.lower_bound);
     EXPECT_EQ(parsed.upper_bound, report.upper_bound);
-    EXPECT_EQ(parsed.incumbent_depth, report.incumbent_depth);
     EXPECT_EQ(parsed.gap, report.gap);
     EXPECT_EQ(parsed.partition, report.partition);
     EXPECT_TRUE(validate_partition(pattern, parsed.partition).ok);

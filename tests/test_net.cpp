@@ -29,14 +29,13 @@
 #include "io/request_io.h"
 #include "net/frame_client.h"
 #include "net/reactor.h"
-#include "service/net.h"
+#include "net/net.h"
 #include "service/service.h"
 #include "support/fault.h"
 
 namespace ebmf::net {
 namespace {
 
-namespace snet = ebmf::service::net;
 
 // ---- frame codec -----------------------------------------------------------
 
@@ -157,7 +156,7 @@ TEST(LineBuffer, PipelinedLinesInOddChunksPopInOrder) {
     stream += line;
     stream += i % 3 == 0 ? "\r\n" : "\n";
   }
-  snet::LineBuffer buffer;
+  LineBuffer buffer;
   std::vector<std::string> popped;
   std::string line;
   const std::size_t chunks[] = {1, 7, 13, 333, 4099, 65537};
@@ -239,7 +238,6 @@ engine::SolveReport sample_report() {
   report.status = engine::Status::Optimal;
   report.lower_bound = 2;
   report.upper_bound = 2;
-  report.incumbent_depth = 2;
   report.gap = 0;
   report.total_seconds = 0.25;
   report.add_timing("canon", 0.01);
@@ -250,6 +248,21 @@ engine::SolveReport sample_report() {
   Rectangle second{BitVec::from_string("001"), BitVec::from_string("1001")};
   report.partition = {first, second};
   return report;
+}
+
+TEST(BinaryCodec, IncumbentSlotCarriesTheDepthAndIsRangeChecked) {
+  // The retired incumbent_depth keeps its u64 slot after id (8), flags (4),
+  // label (4 + 6), strategy (4 + 3), status (1), lower and upper bound (8
+  // each): written from upper_bound, range-checked on read, then dropped.
+  std::string payload = io::binary_report_payload(sample_report(), false, 1,
+                                                  3, 4);
+  constexpr std::size_t kSlot = 8 + 4 + 4 + 6 + 4 + 3 + 1 + 8 + 8;
+  ASSERT_GT(payload.size(), kSlot + 8);
+  EXPECT_EQ(payload.substr(kSlot, 8), std::string("\x02\0\0\0\0\0\0\0", 8));
+  payload[kSlot] = 7;
+  EXPECT_EQ(io::parse_binary_report(payload).report.upper_bound, 2u);
+  payload[kSlot + 7] = 0x01;  // far past any pattern dimension
+  EXPECT_THROW((void)io::parse_binary_report(payload), std::runtime_error);
 }
 
 TEST(BinaryCodec, ReportRoundTripPreservesEveryField) {
@@ -269,7 +282,6 @@ TEST(BinaryCodec, ReportRoundTripPreservesEveryField) {
   EXPECT_EQ(decoded.status, report.status);
   EXPECT_EQ(decoded.lower_bound, report.lower_bound);
   EXPECT_EQ(decoded.upper_bound, report.upper_bound);
-  EXPECT_EQ(decoded.incumbent_depth, report.incumbent_depth);
   EXPECT_EQ(decoded.gap, report.gap);
   EXPECT_EQ(decoded.total_seconds, report.total_seconds);
   ASSERT_EQ(decoded.timings.size(), 2u);
@@ -413,7 +425,7 @@ TEST(Wire, UpgradeMidPipelineAnswersEachRequestInItsOwnProtocol) {
   // upgrade as a line, and answer the third as a frame — in order.
   service::Server server(test_options());
   server.start();
-  const int fd = snet::tcp_connect("127.0.0.1", server.port());
+  const int fd = tcp_connect("127.0.0.1", server.port());
   ASSERT_GE(fd, 0);
   std::string bytes =
       "{\"id\":1,\"pattern\":\"10;01\"}\n"
@@ -505,9 +517,9 @@ TEST(Wire, MalformedFrameGetsAnErrorFrameThenClose) {
   server.start();
   // An unknown frame type is a terminal protocol error: the server answers
   // with a type-3 error frame and closes the connection.
-  const int fd = snet::tcp_connect("127.0.0.1", server.port());
+  const int fd = tcp_connect("127.0.0.1", server.port());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(snet::write_line(fd, "{\"op\":\"upgrade\"}"));
+  ASSERT_TRUE(write_line(fd, "{\"op\":\"upgrade\"}"));
   std::string buffer;
   std::string ack;
   ASSERT_TRUE(read_line_fd(fd, buffer, ack));
@@ -549,9 +561,9 @@ TEST(Wire, TornWritesNeverWedgeTheServer) {
   fault::configure(plan);
   const std::uint64_t torn_before = fault::stats().torn_writes;
   {
-    const int fd = snet::tcp_connect("127.0.0.1", server.port());
+    const int fd = tcp_connect("127.0.0.1", server.port());
     ASSERT_GE(fd, 0);
-    (void)snet::write_line(
+    (void)write_line(
         fd, R"({"pattern":"110;011;111","label":"torn-victim"})");
     char chunk[256];
     // The peer never answers a torn line; it closes or stays silent.
@@ -565,9 +577,9 @@ TEST(Wire, TornWritesNeverWedgeTheServer) {
       << "the drill never drilled anything";
   // Torn frames too: promise 64 payload bytes, deliver 10, hang up.
   {
-    const int fd = snet::tcp_connect("127.0.0.1", server.port());
+    const int fd = tcp_connect("127.0.0.1", server.port());
     ASSERT_GE(fd, 0);
-    ASSERT_TRUE(snet::write_line(fd, "{\"op\":\"upgrade\"}"));
+    ASSERT_TRUE(write_line(fd, "{\"op\":\"upgrade\"}"));
     std::string buffer;
     std::string ack;
     ASSERT_TRUE(read_line_fd(fd, buffer, ack));
@@ -597,16 +609,16 @@ TEST(Wire, IdleConnectionsAreReapedHalfOpenIncluded) {
   // reaped; a connection kept warm by traffic survives. Both idlers are
   // raw sockets probed with MSG_DONTWAIT so the probe itself never
   // refreshes their activity clocks.
-  const int idle_binary = snet::tcp_connect("127.0.0.1", server.port());
+  const int idle_binary = tcp_connect("127.0.0.1", server.port());
   ASSERT_GE(idle_binary, 0);
-  ASSERT_TRUE(snet::write_line(idle_binary, "{\"op\":\"upgrade\"}"));
+  ASSERT_TRUE(write_line(idle_binary, "{\"op\":\"upgrade\"}"));
   {
     std::string buffer;
     std::string ack;
     ASSERT_TRUE(read_line_fd(idle_binary, buffer, ack));
     ASSERT_NE(ack.find("\"upgraded\":true"), std::string::npos);
   }
-  const int idle_line = snet::tcp_connect("127.0.0.1", server.port());
+  const int idle_line = tcp_connect("127.0.0.1", server.port());
   ASSERT_GE(idle_line, 0);
   service::Client busy("127.0.0.1", server.port());
   const auto deadline =
@@ -688,7 +700,7 @@ TEST(Wire, DrainUnderMixedProtocolLoadLosesNothingAccepted) {
 // ---- write-through sends ---------------------------------------------------
 
 /// Read one '\n'-terminated line through a LineBuffer; false on EOF.
-bool read_framed_line(int fd, snet::LineBuffer& buffer, std::string& line) {
+bool read_framed_line(int fd, LineBuffer& buffer, std::string& line) {
   while (!buffer.pop(line)) {
     char chunk[4096];
     const ssize_t n = ::recv(fd, chunk, sizeof chunk, 0);
@@ -748,8 +760,8 @@ TEST(WriteThrough, RepliesAndAWatchStreamStayInOrderOnOneConnection) {
   server.start();
   const int fd = connect_small_window(server.port());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(snet::write_line(fd, "go"));
-  snet::LineBuffer buffer;
+  ASSERT_TRUE(write_line(fd, "go"));
+  LineBuffer buffer;
   std::string line;
   int next_reply = 0;
   int last_frame = -1;
@@ -808,13 +820,13 @@ TEST(WriteThrough, ShortWriteFallsBackToTheLoopQueue) {
   server.start();
   const int fd = connect_small_window(server.port());
   ASSERT_GE(fd, 0);
-  ASSERT_TRUE(snet::write_line(fd, "big"));
+  ASSERT_TRUE(write_line(fd, "big"));
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (!sent.load() && std::chrono::steady_clock::now() < deadline)
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   ASSERT_TRUE(sent.load()) << "send() blocked on a full socket";
-  snet::LineBuffer buffer;
+  LineBuffer buffer;
   std::string line;
   ASSERT_TRUE(read_framed_line(fd, buffer, line));
   EXPECT_TRUE(line == big) << "the big reply arrived damaged ("
@@ -855,10 +867,10 @@ TEST(WriteThrough, PeerCloseRacingSendIsSafe) {
   std::atomic<int> bystander_ok{0};
   std::thread bystander([&] {
     for (int i = 0; !done.load(); ++i) {
-      const int fd = snet::tcp_connect("127.0.0.1", server.port());
+      const int fd = tcp_connect("127.0.0.1", server.port());
       const std::string ping = "p" + std::to_string(i);
-      ASSERT_TRUE(snet::write_line(fd, ping));
-      snet::LineBuffer buffer;
+      ASSERT_TRUE(write_line(fd, ping));
+      LineBuffer buffer;
       std::string line;
       ASSERT_TRUE(read_framed_line(fd, buffer, line));
       ASSERT_EQ(line, "pong " + ping) << "a reply crossed connections";
@@ -868,8 +880,8 @@ TEST(WriteThrough, PeerCloseRacingSendIsSafe) {
   });
   constexpr int kFloods = 12;
   for (int round = 0; round < kFloods; ++round) {
-    const int fd = snet::tcp_connect("127.0.0.1", server.port());
-    ASSERT_TRUE(snet::write_line(fd, "flood"));
+    const int fd = tcp_connect("127.0.0.1", server.port());
+    ASSERT_TRUE(write_line(fd, "flood"));
     char chunk[4096];
     ASSERT_GT(::recv(fd, chunk, sizeof chunk, 0), 0);
     const linger reset{1, 0};  // close with RST while sends are running

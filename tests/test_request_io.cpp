@@ -347,7 +347,6 @@ TEST(WireResponse, ParsesBackIntoAReport) {
   cols.set(2);
   report.partition.push_back(Rectangle{rows, cols});
   report.upper_bound = 1;
-  report.incumbent_depth = 1;
   report.gap = 0;
 
   const std::string line = wire_response_json(report, true);
@@ -357,7 +356,6 @@ TEST(WireResponse, ParsesBackIntoAReport) {
   EXPECT_EQ(parsed.status, engine::Status::Optimal);
   EXPECT_EQ(parsed.lower_bound, 1u);
   EXPECT_EQ(parsed.upper_bound, 1u);
-  EXPECT_EQ(parsed.incumbent_depth, 1u);
   EXPECT_EQ(parsed.gap, 0u);
   EXPECT_DOUBLE_EQ(parsed.total_seconds, 0.25);
   EXPECT_DOUBLE_EQ(parsed.timing("smt"), 0.125);
@@ -372,25 +370,25 @@ TEST(WireResponse, ParsesBackIntoAReport) {
 }
 
 TEST(WireResponse, AnytimeFieldsRoundTripAndDefault) {
-  // An open-bracket anytime report keeps its incumbent and gap on the wire.
+  // An open-bracket anytime report keeps its incumbent (written from the
+  // upper bound) and gap on the wire.
   engine::SolveReport report;
   report.strategy = "sap";
   report.status = engine::Status::Bounded;
   report.lower_bound = 75;
   report.upper_bound = 120;
-  report.incumbent_depth = 120;
   report.gap = 45;
-  const engine::SolveReport parsed =
-      parse_wire_response(wire_response_json(report, false));
-  EXPECT_EQ(parsed.incumbent_depth, 120u);
+  const std::string line = wire_response_json(report, false);
+  EXPECT_NE(line.find("\"incumbent_depth\":120,"), std::string::npos) << line;
+  const engine::SolveReport parsed = parse_wire_response(line);
+  EXPECT_EQ(parsed.upper_bound, 120u);
   EXPECT_EQ(parsed.gap, 45u);
 
-  // A pre-anytime peer's response (no such fields) defaults the incumbent
-  // to the upper bound and the gap to the bracket width.
+  // A pre-anytime peer's response (no such fields) defaults the gap to the
+  // bracket width.
   const engine::SolveReport legacy = parse_wire_response(
       R"({"label":"old","strategy":"sap","status":"bounded",)"
       R"("depth":9,"lower_bound":7,"upper_bound":9,"total_seconds":0.1})");
-  EXPECT_EQ(legacy.incumbent_depth, 9u);
   EXPECT_EQ(legacy.gap, 2u);
 }
 

@@ -20,7 +20,7 @@
 #include "io/json.h"
 #include "router/pool.h"
 #include "router/ring.h"
-#include "service/net.h"
+#include "net/net.h"
 #include "service/service.h"
 #include "support/rng.h"
 
@@ -241,7 +241,7 @@ TEST(BackendPool, ReconnectRespectsExponentialBackoff) {
   // (ECONNREFUSED), so backoff timing is the only clock in the test.
   std::uint16_t port = 0;
   {
-    service::net::TcpListener probe;
+    net::TcpListener probe;
     probe.listen("127.0.0.1", 0);
     port = probe.port();
   }
@@ -270,7 +270,7 @@ TEST(BackendPool, ReconnectRespectsExponentialBackoff) {
   const auto second_failure = Clock::now();
 
   // The backend comes up immediately — but the pool owes the window.
-  service::net::TcpListener listener;
+  net::TcpListener listener;
   listener.listen("127.0.0.1", port);
   while (!pool.alive() &&
          Clock::now() - second_failure < std::chrono::seconds(5)) {
@@ -578,33 +578,25 @@ TEST(Router, FleetMetricsScrapeSumsBackendCounters) {
   const std::string body = reply.document.find("body")->as_string();
 
   // The acceptance bar: the fleet request-counter line equals the sum of
-  // the per-instance lines, in one exposition. (In this in-process fixture
-  // every instance shares the process-global registry, so each scrape sees
-  // the same counter — the *federation* invariant `fleet = sum(instances)`
-  // is what the merge must preserve regardless.)
+  // the per-instance lines, in one exposition. Tier series are per
+  // instance, so each backend reports only what it served, and together
+  // they served exactly the 5 solves the router forwarded (no L1).
   long long instance_sum = 0;
   for (const auto& server : fleet.servers) {
     const std::string instance =
         "127.0.0.1:" + std::to_string(server->port());
     const long long value =
         federated_value(body, "ebmf_server_requests_total", instance);
-    ASSERT_GE(value, 5) << "no per-instance line for " << instance;
+    ASSERT_GE(value, 0) << "no per-instance line for " << instance;
+    EXPECT_EQ(value, static_cast<long long>(server->stats().requests))
+        << instance;
     instance_sum += value;
   }
-  // The router scrapes itself too; its self-exposition contributes when it
-  // carries the series (same process here). Standalone routers label
-  // themselves "router"; peer-fleet members use their advertised endpoint.
-  for (const std::string self :
-       {std::string("router"),
-        "127.0.0.1:" + std::to_string(fleet.router->port())}) {
-    const long long value =
-        federated_value(body, "ebmf_server_requests_total", self);
-    if (value >= 0) instance_sum += value;
-  }
+  EXPECT_EQ(instance_sum, 5);
   EXPECT_EQ(federated_value(body, "ebmf_server_requests_total", "fleet"),
             instance_sum);
   // The router's own series federate too (it is one of the instances).
-  EXPECT_GE(federated_value(body, "ebmf_router_requests_total", "fleet"), 5);
+  EXPECT_EQ(federated_value(body, "ebmf_router_requests_total", "fleet"), 5);
   // Histogram buckets survive the merge with cumulative monotone counts.
   EXPECT_NE(body.find("_bucket{instance=\"fleet\",le=\""), std::string::npos);
 }
