@@ -37,7 +37,7 @@
 #include "engine/engine.h"
 #include "ftqc/patterns.h"
 #include "io/request_io.h"
-#include "net/frame_client.h"
+#include "net/client.h"
 #include "obs/metrics.h"
 #include "router/router.h"
 #include "service/cache.h"
@@ -80,7 +80,7 @@ struct FamilyResult {
 /// Solve one instance remotely (ebmf serve / ebmf route): wire round trip,
 /// report parsed back, total_seconds overwritten with the client-observed
 /// wall-clock — the number a fleet client actually experiences.
-ebmf::engine::SolveReport wire_solve(ebmf::service::Client& client,
+ebmf::engine::SolveReport wire_solve(ebmf::net::Client& client,
                                      const ebmf::engine::SolveRequest& request,
                                      double budget_seconds) {
   ebmf::io::WireRequest wire;
@@ -100,7 +100,7 @@ ebmf::engine::SolveReport wire_solve(ebmf::service::Client& client,
 
 FamilyResult run_family(const ebmf::bench::Options& opt,
                         const ebmf::engine::Engine& engine,
-                        ebmf::service::Client* client,
+                        ebmf::net::Client* client,
                         const std::string& name,
                         const std::vector<BinaryMatrix>& variants) {
   FamilyResult result;
@@ -169,11 +169,10 @@ void storm_connection(const std::string& host, std::uint16_t port,
                       std::size_t index, std::size_t per_conn,
                       StormTally& tally) {
   try {
-    std::unique_ptr<ebmf::net::FrameClient> client;
+    std::unique_ptr<ebmf::net::Client> client;
     for (int attempt = 0;; ++attempt) {
       try {
-        client =
-            std::make_unique<ebmf::net::FrameClient>(host, port);
+        client = std::make_unique<ebmf::net::Client>(host, port);
         break;
       } catch (const std::exception&) {
         // A full accept backlog under the storm ramp is not a failure;
@@ -191,7 +190,7 @@ void storm_connection(const std::string& host, std::uint16_t port,
       tally.sent.fetch_add(1, std::memory_order_relaxed);
     }
     for (std::size_t i = 0; i < per_conn; ++i) {
-      const std::string reply = client->read_reply();
+      const std::string reply = client->read_line();
       tally.received.fetch_add(1, std::memory_order_relaxed);
       if (reply_id(reply) != static_cast<std::int64_t>(i))
         tally.reordered.fetch_add(1, std::memory_order_relaxed);
@@ -205,7 +204,7 @@ void storm_connection(const std::string& host, std::uint16_t port,
 
 /// Drive `lines` through one pipelined line-protocol connection (window of
 /// 32 in flight) and return the wall-clock seconds for the whole run.
-double drive_pipelined(ebmf::service::Client& client,
+double drive_pipelined(ebmf::net::Client& client,
                        const std::vector<std::string>& lines,
                        std::uint64_t* errors) {
   const std::size_t window = 32;
@@ -324,7 +323,7 @@ int run_connections_suite(const ebmf::bench::Options& opt,
                             std::to_string(backend->port()));
       ebmf::router::Router ab_router(ro);
       ab_router.start();
-      ebmf::service::Client client("127.0.0.1", ab_router.port());
+      ebmf::net::Client client("127.0.0.1", ab_router.port());
       // One untimed request pays the cold solve (and, on the binary
       // side, the pool's upgrade negotiation) outside the clock.
       (void)client.round_trip(lines[0]);
@@ -418,7 +417,7 @@ int main(int argc, char** argv) {
   ebmf::engine::Engine engine;
   engine.set_cache(ebmf::cache::ResultCache::with_capacity_mb(64));
 
-  std::unique_ptr<ebmf::service::Client> client;
+  std::unique_ptr<ebmf::net::Client> client;
   if (!connect.empty()) {
     // --connect takes a comma-separated address list (routers and/or
     // backends); the Client fails over across it.
@@ -432,7 +431,7 @@ int main(int argc, char** argv) {
       return 2;
     }
     try {
-      client = std::make_unique<ebmf::service::Client>(endpoints);
+      client = std::make_unique<ebmf::net::Client>(endpoints);
     } catch (const std::exception& e) {
       std::fprintf(stderr, "connect failed: %s\n", e.what());
       return 1;

@@ -8,6 +8,7 @@
 #include <netinet/tcp.h>
 #include <poll.h>
 #include <sys/socket.h>
+#include <sys/time.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -42,32 +43,53 @@ std::string error_json(const std::string& message, const std::string& label,
   return out;
 }
 
-bool write_line(int fd, std::string line) {
-  line += '\n';
+bool send_all(int fd, const std::string& bytes) {
   // Fault-injection seam: a drill can stall the write, drop it outright, or
-  // tear it mid-line (send a prefix, then shoot the connection) so peers see
-  // the same half-open/partial-frame failures a flaky network produces.
+  // tear it mid-message (send a prefix, then shoot the connection) so peers
+  // see the same half-open/partial-frame failures a flaky network produces.
   fault::maybe_delay();
   if (fault::should_drop_write()) {
     ::shutdown(fd, SHUT_RDWR);
     return false;
   }
-  const std::size_t limit = fault::maybe_tear(line.size());
+  const std::size_t limit = fault::maybe_tear(bytes.size());
   std::size_t sent = 0;
   while (sent < limit) {
     const ssize_t n =
-        ::send(fd, line.data() + sent, limit - sent, MSG_NOSIGNAL);
+        ::send(fd, bytes.data() + sent, limit - sent, MSG_NOSIGNAL);
     if (n < 0) {
       if (errno == EINTR) continue;
       return false;
     }
     sent += static_cast<std::size_t>(n);
   }
-  if (limit < line.size()) {  // torn: the peer never sees the newline
+  if (limit < bytes.size()) {  // torn: the peer never sees the whole message
     ::shutdown(fd, SHUT_RDWR);
     return false;
   }
   return true;
+}
+
+bool write_line(int fd, std::string line) {
+  line += '\n';
+  return send_all(fd, line);
+}
+
+int negotiate_upgrade(int fd, LineBuffer& buffer, double timeout_seconds) {
+  if (!write_line(fd, "{\"op\":\"upgrade\"}")) return -1;
+  const auto set_window = [fd](double seconds) {
+    const auto micros = static_cast<long long>(seconds * 1e6);
+    timeval window{static_cast<time_t>(micros / 1000000),
+                   static_cast<suseconds_t>(micros % 1000000)};
+    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &window, sizeof window);
+  };
+  if (timeout_seconds > 0) set_window(timeout_seconds);
+  std::string line;
+  int result = -1;
+  if (read_line(fd, buffer, line))
+    result = line.find("\"upgraded\":true") != std::string::npos ? 1 : 0;
+  if (timeout_seconds > 0) set_window(0);
+  return result;
 }
 
 int tcp_connect(const std::string& host, std::uint16_t port) {
@@ -203,6 +225,12 @@ bool LineBuffer::flush(std::string& line) {
   clear();
   if (!line.empty() && line.back() == '\r') line.pop_back();
   return true;
+}
+
+std::string LineBuffer::take() {
+  std::string rest = buffer_.substr(consumed_);
+  clear();
+  return rest;
 }
 
 void LineBuffer::clear() noexcept {

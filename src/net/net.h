@@ -1,8 +1,8 @@
 #pragma once
 /// \file net.h
 /// \brief Socket and line-framing plumbing below both tiers: the reactor
-/// (net/reactor.h), the host (net/host.h), the blocking service::Client,
-/// the router's backend pools and the CLI.
+/// (net/reactor.h), the host (net/host.h), the blocking net::Client
+/// (net/client.h), the router's backend pools and the CLI.
 ///
 /// The wire protocol is newline-delimited JSON over TCP; every process in
 /// the topology — `ebmf serve`, `ebmf route`, `ebmf client` — needs the
@@ -34,8 +34,14 @@ void set_tcp_nodelay(int fd);
 std::string error_json(const std::string& message, const std::string& label,
                        std::int64_t id = -1);
 
-/// Send `line` + '\n' fully; false when the peer is gone (errno is left
-/// describing the failure).
+/// Send `bytes` fully on a blocking socket; false when the peer is gone
+/// (errno is left describing the failure). Every blocking send in the tree
+/// goes through here, and so through the fault-injection seams
+/// (support/fault.h): a drill can stall the write, drop it, or tear it
+/// mid-message and shoot the connection.
+bool send_all(int fd, const std::string& bytes);
+
+/// send_all(`line` + '\n').
 bool write_line(int fd, std::string line);
 
 class LineBuffer;
@@ -44,6 +50,15 @@ class LineBuffer;
 /// (EINTR retried). False on EOF, error or a receive timeout; an
 /// unterminated tail stays in `buffer`.
 bool read_line(int fd, LineBuffer& buffer, std::string& line);
+
+/// Negotiate the binary frame protocol (net/frame.h) on a line-mode
+/// connection: send `{"op":"upgrade"}` and read the ack line through
+/// `buffer`. Bytes that arrive behind the ack stay in `buffer` — they are
+/// already frames. 1 = upgraded, 0 = the peer declined (an old build
+/// answering with an error keeps a perfectly good line connection), -1 =
+/// the socket died or `timeout_seconds` (> 0) expired first, which must
+/// not be mistaken for a decline.
+int negotiate_upgrade(int fd, LineBuffer& buffer, double timeout_seconds = 0);
 
 /// Blocking IPv4 connect; returns the fd or throws std::runtime_error.
 int tcp_connect(const std::string& host, std::uint16_t port);
@@ -87,6 +102,10 @@ class LineBuffer {
 
   /// Drop everything buffered (a reconnect starts a fresh stream).
   void clear() noexcept;
+
+  /// Hand over the unconsumed bytes verbatim and clear (a connection that
+  /// switches to frames passes what arrived behind the ack on).
+  std::string take();
 
   /// Unconsumed bytes.
   [[nodiscard]] std::size_t size() const noexcept {

@@ -23,7 +23,6 @@
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "net/net.h"
-#include "support/fault.h"
 #include "support/rng.h"
 
 namespace ebmf::router {
@@ -72,51 +71,6 @@ struct Conn {
   std::mutex pending_mutex;
   std::unordered_map<std::uint64_t, PendingPtr> pending;
 };
-
-/// Negotiate the frame protocol on a fresh socket: send the upgrade line,
-/// wait (bounded) for the JSON ack. 1 = upgraded, 0 = the backend declined
-/// (an old build answering with an error keeps a perfectly good line
-/// connection), -1 = the socket died or the window expired (caller closes
-/// and backs off — a wedged negotiation must not be mistaken for a
-/// decline).
-int negotiate_upgrade(int fd) {
-  if (!net::write_line(fd, "{\"op\":\"upgrade\"}")) return -1;
-  timeval window{2, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &window, sizeof window);
-  net::LineBuffer buffer;
-  std::string line;
-  int result = -1;
-  if (net::read_line(fd, buffer, line))
-    result = line.find("\"upgraded\":true") != std::string::npos ? 1 : 0;
-  timeval off{0, 0};
-  ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &off, sizeof off);
-  return result;
-}
-
-/// Send raw bytes (an already-encoded frame) fully, through the same
-/// fault-injection seams write_line uses so the network drills exercise
-/// the binary path too. False when the peer is gone.
-bool send_raw(int fd, const std::string& bytes) {
-  fault::maybe_delay();
-  if (fault::should_drop_write()) {
-    ::shutdown(fd, SHUT_RDWR);
-    return false;
-  }
-  const std::size_t limit = fault::maybe_tear(bytes.size());
-  std::size_t sent = 0;
-  while (sent < limit) {
-    const ssize_t n =
-        ::send(fd, bytes.data() + sent, limit - sent, MSG_NOSIGNAL);
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return false;
-    sent += static_cast<std::size_t>(n);
-  }
-  if (limit < bytes.size()) {  // torn by the drill: kill the connection
-    ::shutdown(fd, SHUT_RDWR);
-    return false;
-  }
-  return true;
-}
 
 /// Complete one pending reply.
 void complete_pending(Conn& conn, std::uint64_t id, std::uint8_t frame_type,
@@ -323,7 +277,10 @@ struct BackendPool::Impl {
       // socket negotiates and the first decided outcome becomes sticky.
       int wire = binary_mode.load(std::memory_order_relaxed);
       if (wire != 0) {
-        const int negotiated = negotiate_upgrade(fd);
+        // Bounded ack wait: a wedged negotiation must not stall the health
+        // thread, nor be mistaken for a decline.
+        net::LineBuffer ack;
+        const int negotiated = net::negotiate_upgrade(fd, ack, 2.0);
         if (negotiated < 0) {  // died or wedged mid-negotiation
           ::close(fd);
           next_attempt = Clock::now() + backoff_step();
@@ -426,10 +383,10 @@ bool BackendPool::submit(std::uint64_t id, const std::string& payload,
     std::lock_guard<std::mutex> lock(conn->write_mutex);
     if (conn->open.load(std::memory_order_relaxed)) {
       if (framed)
-        sent = send_raw(conn->fd, payload);
+        sent = net::send_all(conn->fd, payload);
       else if (conn->binary)  // JSON over a frame stream: type-4 wrap
-        sent = send_raw(conn->fd, net::encode_frame(net::kFrameJson,
-                                                     payload));
+        sent = net::send_all(conn->fd, net::encode_frame(net::kFrameJson,
+                                                          payload));
       else
         sent = net::write_line(conn->fd, payload);
       // Wake the reader so the break is processed once, centrally.

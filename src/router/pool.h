@@ -23,8 +23,9 @@
 /// ring re-includes it for its own keys.
 ///
 /// Binary fast path: each fresh connection negotiates the frame protocol
-/// with `{"op":"upgrade"}` (bounded ack wait, JSON fallback — an old
-/// backend that answers with an error keeps a perfectly good line
+/// with `{"op":"upgrade"}` (net::negotiate_upgrade, the handshake
+/// net::Client uses too, with a bounded ack wait and JSON fallback — an
+/// old backend that answers with an error keeps a perfectly good line
 /// connection). The first negotiation fixes the pool's wire mode for its
 /// lifetime, so every live connection speaks the same framing and the
 /// router can render exactly one encoding per request: type-1 solve frames

@@ -305,6 +305,7 @@ std::shared_ptr<BackendPool> Router::Impl::ensure_pool(
   pool_options.connections = options.pool_connections;
   pool_options.backoff_base_ms = options.backoff_base_ms;
   pool_options.backoff_max_ms = options.backoff_max_ms;
+  pool_options.negotiate_binary = options.binary_backend;
   pool_options.dispatches = pool_dispatches;
   pool_options.failures = pool_failures;
   auto pool = std::make_shared<BackendPool>(host_name, port, pool_options);
@@ -1355,8 +1356,7 @@ bool Router::Impl::dispatch(RouteTask& task) {
   for (std::size_t i = 0; i < task.preference.size(); ++i) {
     const std::shared_ptr<BackendPool> pool = pool_for(task.preference[i]);
     if (!pool) continue;  // membership raced ahead of the pool set
-    const bool framed =
-        task.canonical_mode && options.binary_backend && pool->binary();
+    const bool framed = task.canonical_mode && pool->binary();
     if (pool->submit(task.router_id, backend_payload(task, framed), framed,
                      task.pending)) {
       task.preference_cursor = i;
@@ -1424,8 +1424,7 @@ std::string Router::Impl::await_reply(RouteTask& task) {
       const std::shared_ptr<BackendPool> pool = pool_for(task.preference[i]);
       if (!pool) continue;
       task.pending->reset();
-      const bool framed =
-          task.canonical_mode && options.binary_backend && pool->binary();
+      const bool framed = task.canonical_mode && pool->binary();
       if (pool->submit(task.router_id, backend_payload(task, framed), framed,
                        task.pending)) {
         task.preference_cursor = i;

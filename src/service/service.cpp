@@ -18,10 +18,8 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <ctime>
-#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -844,180 +842,6 @@ engine::Engine& Server::engine() noexcept { return impl_->engine; }
 
 const ServerOptions& Server::options() const noexcept {
   return impl_->options;
-}
-
-// ---- Client ---------------------------------------------------------------
-
-namespace {
-
-/// Answered-id cache bound: big enough for any realistic pipeline window,
-/// small enough that a long-lived client never grows without bound.
-constexpr std::size_t kAnsweredCap = 1024;
-
-/// Redirect-chase bound: past this many hops in one round_trip the fleet
-/// is mid-election; fall back to ordinary rotation instead of looping.
-constexpr std::size_t kRedirectHops = 4;
-
-}  // namespace
-
-Client::Client(const std::vector<std::string>& endpoints)
-    : endpoints_(endpoints),
-      jitter_state_(0x9e3779b97f4a7c15ull ^
-                    reinterpret_cast<std::uintptr_t>(this)) {
-  if (endpoints_.empty())
-    throw std::runtime_error("client needs at least one address");
-  for (cursor_ = 0; cursor_ < endpoints_.size(); ++cursor_)
-    if (connect_to(endpoints_[cursor_])) return;
-  // No address answered the first pass — ride out a transient (fleet
-  // restarting, injected connect fault) with the same jittered-backoff
-  // rotation a mid-flight reconnect uses before giving up.
-  cursor_ = 0;
-  if (reconnect()) return;
-  std::string list;
-  for (const std::string& endpoint : endpoints_)
-    list += (list.empty() ? "" : ", ") + endpoint;
-  throw std::runtime_error("all addresses refused (" + list + ")");
-}
-
-Client::Client(const std::string& host, std::uint16_t port)
-    : Client(std::vector<std::string>{host + ":" + std::to_string(port)}) {}
-
-Client::~Client() { close(); }
-
-bool Client::connect_to(const std::string& endpoint) {
-  std::string host;
-  std::uint16_t port = 0;
-  if (!net::parse_endpoint(endpoint, host, port)) return false;
-  close();
-  buffer_.clear();
-  try {
-    fd_ = net::tcp_connect(host, port);
-  } catch (const std::exception&) {
-    return false;
-  }
-  connected_ = host + ":" + std::to_string(port);
-  return true;
-}
-
-bool Client::reconnect(std::size_t rounds) {
-  for (std::size_t round = 0; round < rounds; ++round) {
-    if (round > 0) {
-      // Full rotation failed: pause with capped exponential backoff,
-      // jittered over [0.5, 1.5)x so a client herd restarting against the
-      // same fleet doesn't re-dial in lockstep.
-      jitter_state_ ^= jitter_state_ << 13;
-      jitter_state_ ^= jitter_state_ >> 7;
-      jitter_state_ ^= jitter_state_ << 17;
-      const double fraction =
-          static_cast<double>(jitter_state_ >> 11) * 0x1.0p-53;
-      const double pause_ms = backoff_ms_ * (0.5 + fraction);
-      backoff_ms_ = std::min(backoff_ms_ * 2.0, 1000.0);
-      timespec nap{static_cast<time_t>(pause_ms / 1000.0),
-                   static_cast<long>(std::fmod(pause_ms, 1000.0) * 1e6)};
-      ::nanosleep(&nap, nullptr);
-    }
-    for (std::size_t step = 0; step < endpoints_.size(); ++step) {
-      cursor_ = (cursor_ + 1) % endpoints_.size();
-      if (connect_to(endpoints_[cursor_])) {
-        backoff_ms_ = 50.0;
-        return true;
-      }
-    }
-  }
-  return false;
-}
-
-bool Client::record_answered(std::int64_t id, std::size_t line_hash,
-                             const std::string& reply) {
-  if (id < 0) return true;  // un-id'd requests cannot be deduped
-  for (const auto& entry : answered_)
-    if (entry.id == id && entry.line_hash == line_hash) return false;
-  if (answered_.size() >= kAnsweredCap)
-    answered_.erase(answered_.begin());
-  answered_.push_back(Answered{id, line_hash, reply});
-  return true;
-}
-
-void Client::send_line(const std::string& line) {
-  if (fd_ < 0) throw std::runtime_error("client is closed");
-  if (write_line(fd_, line)) return;
-  // A reset peer (restarting backend, failed-over router) rotates to the
-  // next address of the list; any other failure propagates immediately.
-  if ((errno == ECONNRESET || errno == EPIPE) && reconnect() &&
-      write_line(fd_, line))
-    return;
-  net::sys_fail("send");
-}
-
-std::string Client::read_line() {
-  if (fd_ < 0) throw std::runtime_error("client is closed");
-  std::string line;
-  if (net::read_line(fd_, buffer_, line) || buffer_.flush(line)) return line;
-  throw std::runtime_error("server closed the connection");
-}
-
-std::string Client::round_trip(const std::string& line) {
-  // Exactly-once for the caller: an id this client already saw answered is
-  // served from the cache — the earlier send landed, and re-submitting
-  // would make a counting server (or the caller's own tally) see it twice.
-  const std::int64_t id = io::salvage_request_id(line);
-  const std::size_t line_hash = std::hash<std::string>{}(line);
-  if (id >= 0)
-    for (const auto& entry : answered_)
-      if (entry.id == id && entry.line_hash == line_hash) return entry.reply;
-
-  std::string reply;
-  bool have_reply = false;
-  try {
-    send_line(line);
-    reply = read_line();
-    have_reply = true;
-  } catch (const std::runtime_error&) {
-    // The connection died between send and reply (peer restarted, fleet
-    // failing over). Solve and stats requests are idempotent, so re-send
-    // over the next live address; a second failure propagates.
-    if (!reconnect()) throw;
-    send_line(line);
-    reply = read_line();
-    have_reply = true;
-  }
-
-  // Chase follower redirects: reconnect to the named leaseholder and
-  // re-send there. A stale redirect (old epoch, dead holder) just fails
-  // the dial and falls back to rotation.
-  for (std::size_t hop = 0; have_reply && hop < kRedirectHops; ++hop) {
-    std::string target;
-    std::uint64_t epoch = 0;
-    std::uint64_t term = 0;
-    if (!io::parse_wire_redirect(reply, &target, &epoch, &term)) break;
-    if (!connect_to(target) && !reconnect()) break;
-    send_line(line);
-    reply = read_line();
-  }
-
-  // Only *answers* are cached for dedupe. An error or an unresolved
-  // redirect means the request was not executed — a retry must reach the
-  // fleet again, not be served the failure forever.
-  std::string target;
-  std::uint64_t epoch = 0;
-  std::uint64_t term = 0;
-  const bool unresolved =
-      io::parse_wire_redirect(reply, &target, &epoch, &term) ||
-      reply.rfind("{\"error\"", 0) == 0 ||
-      (reply.rfind("{\"id\":", 0) == 0 &&
-       reply.find(",\"error\":") != std::string::npos &&
-       reply.find(",\"error\":") < 24);
-  if (!unresolved) record_answered(id, line_hash, reply);
-  return reply;
-}
-
-const std::string& Client::endpoint() const noexcept { return connected_; }
-
-void Client::close() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
 }
 
 // ---- serve_forever --------------------------------------------------------

@@ -40,7 +40,7 @@
 ///    the same numbers, and two servers in one process count apart.
 ///
 /// Server is usable in-process (tests bind port 0 and connect with
-/// Client); serve_forever() is the `ebmf serve` entry point, the host's
+/// net::Client); serve_forever() is the `ebmf serve` entry point, the host's
 /// signal loop wiring SIGTERM/SIGINT to the drain.
 
 #include <cstdint>
@@ -51,6 +51,7 @@
 #include <vector>
 
 #include "engine/engine.h"
+#include "net/client.h"
 #include "net/host.h"
 #include "net/net.h"
 #include "service/cache.h"
@@ -131,94 +132,9 @@ class Server {
   std::unique_ptr<Impl> impl_;
 };
 
-/// A minimal blocking client for the wire protocol: one connection at a
-/// time, line round-trips. Used by `ebmf client`, the tests, and the
-/// smoke/drill jobs.
-///
-/// Resilience (HA, PR 8): the client holds an *address list* — any mix of
-/// routers and backends — and fails over across it:
-///
-///  * **Connect/reset failover.** A refused dial or mid-flight reset
-///    rotates to the next address; full rotations back off exponentially
-///    (capped, jittered) so a briefly-dark fleet is ridden out rather than
-///    hammered. round_trip() re-sends its line over the fresh connection.
-///  * **Redirect chasing.** A follower's epoch-stamped
-///    `{"redirect":"host:port",...}` reply makes the client reconnect to
-///    the named leaseholder and re-send — bounded hops, so a redirect loop
-///    during an election degrades into ordinary failover. A stale-epoch
-///    redirect is harmless: the target answers or resets, and either way
-///    the client converges on the live leaseholder.
-///  * **Request-id dedupe.** Replies are deduped by `"id"` plus the
-///    request line itself (an id reused for a *different* request is not a
-///    retry and still reaches the server): a retried
-///    request whose first send actually landed is answered exactly once —
-///    the duplicate reply (same id, already-answered) is dropped, and a
-///    re-sent already-answered id returns the cached reply instead of
-///    dialing again. Solve requests are idempotent, which is what makes
-///    the re-send safe in the first place; the dedupe makes it *counted*
-///    safe for callers tallying replies.
-class Client {
- public:
-  /// Connect to the first reachable address of the list (throws
-  /// std::runtime_error when every address refuses).
-  explicit Client(const std::vector<std::string>& endpoints);
-
-  /// Single-address convenience (tests, pre-HA callers).
-  Client(const std::string& host, std::uint16_t port);
-  ~Client();
-
-  Client(const Client&) = delete;
-  Client& operator=(const Client&) = delete;
-
-  /// Send one request line (newline appended if missing). Fails over to
-  /// the next address when the send hits a reset/refused peer.
-  void send_line(const std::string& line);
-
-  /// Block for the next response line. Throws on server EOF.
-  std::string read_line();
-
-  /// send_line + read_line with failover, redirect chasing, and
-  /// request-id dedupe (see class comment).
-  std::string round_trip(const std::string& line);
-
-  /// The address currently connected ("host:port") — who answered last.
-  [[nodiscard]] const std::string& endpoint() const noexcept;
-
-  /// Half-close the sending side / tear down the connection.
-  void close();
-
- private:
-  /// Tear down and re-establish a connection, rotating through the
-  /// address list with capped jittered backoff between full rotations.
-  /// False when every address refuses for `rounds` rotations.
-  bool reconnect(std::size_t rounds = 3);
-
-  /// Dial one specific address (a redirect target). False on refusal.
-  bool connect_to(const std::string& endpoint);
-
-  /// One answered request: the id alone is not the cache key — a retry
-  /// must carry the *same line* to be served from cache, so an id reused
-  /// for a different request still reaches the server.
-  struct Answered {
-    std::int64_t id;
-    std::size_t line_hash;
-    std::string reply;
-  };
-
-  /// Record an answered id (bounded) and say whether it was new.
-  bool record_answered(std::int64_t id, std::size_t line_hash,
-                       const std::string& reply);
-
-  std::vector<std::string> endpoints_;
-  std::size_t cursor_ = 0;     ///< Index of the connected address.
-  std::string connected_;      ///< Text of the connected address.
-  double backoff_ms_ = 50.0;   ///< Next inter-rotation pause.
-  std::uint64_t jitter_state_; ///< Cheap xorshift state for jitter.
-  int fd_ = -1;
-  net::LineBuffer buffer_;
-  /// Answered-id cache (insertion-ordered, bounded).
-  std::vector<Answered> answered_;
-};
+/// perfbench/src/served.cpp still names the client `service::Client`; the
+/// next benchmark change switches it to net::Client and removes this alias.
+using Client = net::Client;
 
 /// Run a server until SIGTERM/SIGINT, then drain and report on `log`.
 /// Returns a process exit code (0 on a clean drain). The `ebmf serve`

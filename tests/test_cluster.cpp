@@ -24,6 +24,7 @@
 #include "engine/engine.h"
 #include "io/json.h"
 #include "io/request_io.h"
+#include "net/client.h"
 #include "router/router.h"
 #include "service/canon.h"
 #include "service/service.h"
@@ -248,7 +249,7 @@ TEST(Cluster, JoinMidBurstStartsReceivingTrafficWithoutDroppingRequests) {
   router::Router router(options);
   router.start();
 
-  service::Client client("127.0.0.1", router.port());
+  net::Client client("127.0.0.1", router.port());
   const int burst = 24;
   for (int i = 0; i < burst / 2; ++i)
     client.send_line("{\"pattern\": \"" +
@@ -256,7 +257,7 @@ TEST(Cluster, JoinMidBurstStartsReceivingTrafficWithoutDroppingRequests) {
                      "\", \"label\": \"b" + std::to_string(i) + "\"}");
 
   // Join B while the first half is in flight.
-  service::Client control("127.0.0.1", router.port());
+  net::Client control("127.0.0.1", router.port());
   const Reply joined(control.round_trip("{\"op\":\"join\",\"endpoint\":\"" +
                                         endpoint_of(*server_b) + "\"}"));
   ASSERT_FALSE(joined.is_error());
@@ -312,7 +313,7 @@ TEST(Cluster, PromotedHotKeySurvivesReplicaKill) {
   router::Router router(options);
   router.start();
 
-  service::Client client("127.0.0.1", router.port());
+  net::Client client("127.0.0.1", router.port());
   const std::string pattern = R"({"pattern": "1110;0111;1111"})";
 
   const Reply cold(client.round_trip(pattern));
@@ -368,7 +369,7 @@ TEST(Cluster, EpochSwapKeepsPermutedDuplicateAffinityForNonPromotedKeys) {
   router::Router router(options);
   router.start();
 
-  service::Client client("127.0.0.1", router.port());
+  net::Client client("127.0.0.1", router.port());
   Rng rng(5);
   const std::vector<BinaryMatrix> bases = {
       BinaryMatrix::parse("1110;0111;1111"),
@@ -386,7 +387,7 @@ TEST(Cluster, EpochSwapKeepsPermutedDuplicateAffinityForNonPromotedKeys) {
   // Epoch churn: a third member joins and leaves again (it need not even
   // be reachable — membership is the router's view, liveness is the
   // pool's).
-  service::Client control("127.0.0.1", router.port());
+  net::Client control("127.0.0.1", router.port());
   const std::uint64_t epoch_before = router.stats().epoch;
   const Reply joined(control.round_trip(
       R"({"op":"join","endpoint":"127.0.0.1:1"})"));
@@ -432,7 +433,7 @@ TEST(Cluster, MissedHeartbeatsEvictAnnouncedMembers) {
   router::Router router(options);
   router.start();
 
-  service::Client control("127.0.0.1", router.port());
+  net::Client control("127.0.0.1", router.port());
   // A member that joins and then falls silent (nothing listens there; the
   // pool simply stays in backoff).
   const Reply joined(control.round_trip(
@@ -479,7 +480,7 @@ TEST(Cluster, ServerAnnounceJoinsHeartbeatsAndLeavesOnStop) {
   EXPECT_EQ(router.stats().joins, 1u);
   EXPECT_GE(server->stats().joins_sent, 1u);
 
-  service::Client client("127.0.0.1", router.port());
+  net::Client client("127.0.0.1", router.port());
   const Reply solve(client.round_trip(R"({"pattern": "110;011;111"})"));
   ASSERT_FALSE(solve.is_error());
   EXPECT_EQ(solve.depth(), 3.0);
@@ -507,13 +508,13 @@ TEST(Cluster, MembershipVerbsNeedADynamicRouter) {
   router::Router router(options);
   router.start();
 
-  service::Client client("127.0.0.1", router.port());
+  net::Client client("127.0.0.1", router.port());
   const Reply join(client.round_trip(
       R"({"op":"join","endpoint":"127.0.0.1:9"})"));
   EXPECT_TRUE(join.is_error());
   // A backend server refuses membership verbs outright (misconfigured
   // announce targets must not be swallowed).
-  service::Client direct("127.0.0.1", server->port());
+  net::Client direct("127.0.0.1", server->port());
   const Reply misdirected(direct.round_trip(
       R"({"op":"join","endpoint":"127.0.0.1:9"})"));
   EXPECT_TRUE(misdirected.is_error());
@@ -545,7 +546,7 @@ TEST(Cluster, PutVerbWarmsABackendCacheWithAValidatedCertificate) {
   put.request.strategy = "auto";
   put.put_report = solved;
 
-  service::Client client("127.0.0.1", server->port());
+  net::Client client("127.0.0.1", server->port());
   const Reply accepted(client.round_trip(io::wire_request_json(put)));
   ASSERT_FALSE(accepted.is_error());
   EXPECT_TRUE(accepted.document.find("ok")->as_bool());

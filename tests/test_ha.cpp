@@ -20,6 +20,7 @@
 #include "cluster/membership.h"
 #include "cluster/replica.h"
 #include "io/request_io.h"
+#include "net/client.h"
 #include "router/router.h"
 #include "net/net.h"
 #include "service/service.h"
@@ -452,7 +453,7 @@ TEST(Fleet, ExactlyOneRouterWinsTheLeaseAndSyncsState) {
   backend.start();
   const std::string backend_endpoint =
       "127.0.0.1:" + std::to_string(backend.port());
-  service::Client client("127.0.0.1", leader->port());
+  net::Client client("127.0.0.1", leader->port());
   const std::string reply = client.round_trip(
       "{\"op\":\"join\",\"endpoint\":\"" + backend_endpoint + "\"}");
   EXPECT_NE(reply.find("\"joined\":true"), std::string::npos) << reply;
@@ -477,7 +478,7 @@ TEST(Fleet, FollowerForwardsWritesToTheLeaseholder) {
       "127.0.0.1:" + std::to_string(backend.port());
 
   // The write lands on the follower but is answered by the leaseholder.
-  service::Client client("127.0.0.1", follower->port());
+  net::Client client("127.0.0.1", follower->port());
   const std::string reply = client.round_trip(
       "{\"id\":3,\"op\":\"join\",\"endpoint\":\"" + backend_endpoint +
       "\"}");
@@ -501,7 +502,7 @@ TEST(Fleet, UnreachableLeaseholderYieldsEpochStampedRedirect) {
   const std::string leader_address = router_address(*leader);
   leader->stop();
 
-  // Raw wire exchange (service::Client would chase the redirect): the
+  // Raw wire exchange (net::Client would chase the redirect): the
   // follower names the leaseholder it still believes in, epoch-stamped.
   const int fd = net::tcp_connect("127.0.0.1", follower->port());
   ASSERT_TRUE(net::write_line(
@@ -544,7 +545,7 @@ TEST(Fleet, StaleRedirectConvergesOnTheNewLeaseholder) {
   // election errors; the client chases/retries until the follower wins
   // the next term and applies the write itself.
   leader->stop();
-  service::Client client("127.0.0.1", follower->port());
+  net::Client client("127.0.0.1", follower->port());
   const std::string join_line =
       "{\"op\":\"join\",\"endpoint\":\"" + backend_endpoint + "\"}";
   ASSERT_TRUE(eventually([&]() {
@@ -574,7 +575,7 @@ TEST(Fleet, TakeoverKeepsViewAndHotKeysWarmWithoutRepromotion) {
 
   // Heat one key past the promotion threshold on the leaseholder.
   {
-    service::Client client("127.0.0.1", leader->port());
+    net::Client client("127.0.0.1", leader->port());
     for (int i = 0; i < 4; ++i) {
       const std::string reply = client.round_trip(
           R"({"pattern":"110;011;111","label":"hot"})");
@@ -598,7 +599,7 @@ TEST(Fleet, TakeoverKeepsViewAndHotKeysWarmWithoutRepromotion) {
   EXPECT_EQ(stats.promotions, 0u);
   EXPECT_GE(stats.lease_acquires, 1u);
 
-  service::Client client("127.0.0.1", follower->port());
+  net::Client client("127.0.0.1", follower->port());
   const std::string reply = client.round_trip(
       R"({"pattern":"110;011;111","label":"after-takeover"})");
   EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
@@ -611,7 +612,7 @@ TEST(ClientHA, ConnectsPastDeadAddressesInTheList) {
   service::Server server(backend_options());
   server.start();
   const std::uint16_t dead = reserve_port();
-  service::Client client({"127.0.0.1:" + std::to_string(dead),
+  net::Client client({"127.0.0.1:" + std::to_string(dead),
                           "127.0.0.1:" + std::to_string(server.port())});
   EXPECT_EQ(client.endpoint(),
             "127.0.0.1:" + std::to_string(server.port()));
@@ -630,7 +631,7 @@ TEST(ClientHA, FailsOverToTheNextAddressWhenThePeerDies) {
   const std::string second_address =
       "127.0.0.1:" + std::to_string(second.port());
 
-  service::Client client({first_address, second_address});
+  net::Client client({first_address, second_address});
   ASSERT_EQ(client.endpoint(), first_address);
   ASSERT_EQ(client.round_trip(R"({"pattern":"10;01"})").find("\"error\""),
             std::string::npos);
@@ -645,7 +646,7 @@ TEST(ClientHA, FailsOverToTheNextAddressWhenThePeerDies) {
 TEST(ClientHA, RetriedRequestIdIsAnsweredExactlyOnce) {
   service::Server server(backend_options());
   server.start();
-  service::Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
 
   const std::string line = R"({"id":41,"pattern":"110;011;111"})";
   const std::string first = client.round_trip(line);
@@ -687,7 +688,7 @@ TEST(ClientHA, RequestIdRetriedAcrossRoutersIsAnsweredOnce) {
   ASSERT_NE(leader, nullptr);
   router::Router* follower = fleet.follower_of(leader);
 
-  service::Client client(
+  net::Client client(
       {router_address(*leader), router_address(*follower)});
   const std::string line = R"({"id":77,"pattern":"110;011;111"})";
   const std::string first = client.round_trip(line);

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "io/json.h"
+#include "net/client.h"
 #include "router/router.h"
 #include "service/service.h"
 
@@ -26,7 +27,7 @@ service::ServerOptions server_options() {
 
 /// The value of the unlabelled sample `name` in a `{"op":"metrics"}` reply
 /// from `client`; -1 when the exposition has no such line.
-long long scraped(service::Client& client, const std::string& name) {
+long long scraped(net::Client& client, const std::string& name) {
   const io::json::Value reply =
       io::json::Value::parse(client.round_trip(R"({"op":"metrics"})"));
   const std::string body = reply.find("body")->as_string();
@@ -37,7 +38,7 @@ long long scraped(service::Client& client, const std::string& name) {
 }
 
 /// Send `count` solves and check each reply is an answer.
-void solve(service::Client& client, int count) {
+void solve(net::Client& client, int count) {
   for (int i = 0; i < count; ++i) {
     const io::json::Value reply = io::json::Value::parse(
         client.round_trip(R"({"pattern": "110;011;111"})"));
@@ -50,8 +51,8 @@ TEST(Host, TierCountersArePerInstance) {
   service::Server second(server_options());
   first.start();
   second.start();
-  service::Client to_first("127.0.0.1", first.port());
-  service::Client to_second("127.0.0.1", second.port());
+  net::Client to_first("127.0.0.1", first.port());
+  net::Client to_second("127.0.0.1", second.port());
   solve(to_first, 3);
   solve(to_second, 5);
 
@@ -70,7 +71,7 @@ TEST(Host, TierCountersArePerInstance) {
   options.backends = {"127.0.0.1:" + std::to_string(first.port())};
   router::Router router(options);
   router.start();
-  service::Client to_router("127.0.0.1", router.port());
+  net::Client to_router("127.0.0.1", router.port());
   solve(to_router, 4);
   const io::json::Value stats =
       io::json::Value::parse(to_router.round_trip(R"({"op":"stats"})"));

@@ -2,8 +2,9 @@
 // decoding at every split offset), the line framer, the binary payload
 // codecs, the reactor-backed wire through a real service — upgrade
 // negotiation, JSON-vs-binary reply equivalence, pipelined ordering across
-// the upgrade, protocol errors, torn writes, idle reaping, and drain — and
-// the reactor's write-through send path.
+// the upgrade, protocol errors, torn writes, idle reaping, and drain — the
+// client's upgrade across failover (library and `ebmf client --binary`),
+// and the reactor's write-through send path.
 
 #include "net/frame.h"
 
@@ -20,14 +21,18 @@
 #include <chrono>
 #include <algorithm>
 #include <cstdint>
+#include <fstream>
+#include <memory>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "cli/cli.h"
 #include "io/binary_io.h"
 #include "io/json.h"
 #include "io/request_io.h"
-#include "net/frame_client.h"
+#include "net/client.h"
 #include "net/reactor.h"
 #include "net/net.h"
 #include "service/service.h"
@@ -364,8 +369,8 @@ void expect_equivalent_replies(const std::string& line_reply,
 TEST(Wire, UpgradeNegotiatesAndBinaryRepliesMatchLineReplies) {
   service::Server server(test_options());
   server.start();
-  service::Client line("127.0.0.1", server.port());
-  FrameClient frames("127.0.0.1", server.port());
+  Client line("127.0.0.1", server.port());
+  Client frames("127.0.0.1", server.port());
   ASSERT_TRUE(frames.upgrade());
   EXPECT_TRUE(frames.binary());
 
@@ -378,7 +383,7 @@ TEST(Wire, UpgradeNegotiatesAndBinaryRepliesMatchLineReplies) {
                                        : "}");
       const std::string line_reply = line.round_trip(request);
       frames.send_request(io::parse_wire_request(request));
-      const std::string frame_reply = frames.read_reply();
+      const std::string frame_reply = frames.read_line();
       ASSERT_EQ(frame_reply.rfind("{\"id\":3,", 0), 0u) << frame_reply;
       expect_equivalent_replies(line_reply, frame_reply);
       if (with_partition)
@@ -389,14 +394,14 @@ TEST(Wire, UpgradeNegotiatesAndBinaryRepliesMatchLineReplies) {
 }
 
 TEST(Wire, DeclinedUpgradeKeepsTheLineProtocolUsable) {
-  // An un-upgraded FrameClient is just a line client; send_request falls
-  // back to JSON and read_reply pops lines.
+  // An un-upgraded client is just a line client; send_request falls back
+  // to JSON and read_line pops lines.
   service::Server server(test_options());
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  Client client("127.0.0.1", server.port());
   EXPECT_FALSE(client.binary());
   client.send_request(io::parse_wire_request(R"({"pattern":"10;01"})"));
-  const io::json::Value reply = io::json::Value::parse(client.read_reply());
+  const io::json::Value reply = io::json::Value::parse(client.read_line());
   EXPECT_EQ(reply.find("depth")->as_number(), 2.0);
   server.stop();
 }
@@ -404,16 +409,16 @@ TEST(Wire, DeclinedUpgradeKeepsTheLineProtocolUsable) {
 TEST(Wire, AdminVerbsRideTheBinaryConnectionAsJsonFrames) {
   service::Server server(test_options());
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  Client client("127.0.0.1", server.port());
   ASSERT_TRUE(client.upgrade());
-  client.send_json(R"({"op":"stats","id":5})");
-  const io::json::Value stats = io::json::Value::parse(client.read_reply());
+  client.send_line(R"({"op":"stats","id":5})");
+  const io::json::Value stats = io::json::Value::parse(client.read_line());
   EXPECT_EQ(stats.find("id")->as_number(), 5.0);
   EXPECT_EQ(stats.find("role")->as_string(), "server");
   // A masked request has no binary encoding: send_request transparently
   // falls back to a type-4 JSON frame.
   client.send_request(io::parse_wire_request(R"({"pattern":"1*;01"})"));
-  const io::json::Value masked = io::json::Value::parse(client.read_reply());
+  const io::json::Value masked = io::json::Value::parse(client.read_line());
   EXPECT_EQ(masked.find("error"), nullptr);
   EXPECT_GE(masked.find("depth")->as_number(), 1.0);
   server.stop();
@@ -474,7 +479,7 @@ TEST(Wire, UpgradeMidPipelineAnswersEachRequestInItsOwnProtocol) {
 TEST(Wire, PipelinedBinaryRequestsAnswerInOrder) {
   service::Server server(test_options());
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  Client client("127.0.0.1", server.port());
   ASSERT_TRUE(client.upgrade());
   const int n = 24;
   for (int i = 0; i < n; ++i) {
@@ -486,7 +491,7 @@ TEST(Wire, PipelinedBinaryRequestsAnswerInOrder) {
         "\"}"));
   }
   for (int i = 0; i < n; ++i) {
-    const io::json::Value reply = io::json::Value::parse(client.read_reply());
+    const io::json::Value reply = io::json::Value::parse(client.read_line());
     ASSERT_EQ(reply.find("error"), nullptr) << i;
     EXPECT_EQ(reply.find("id")->as_number(), static_cast<double>(i));
     EXPECT_EQ(reply.find("depth")->as_number(), (i % 2 == 0) ? 3.0 : 2.0);
@@ -543,7 +548,7 @@ TEST(Wire, MalformedFrameGetsAnErrorFrameThenClose) {
   EXPECT_NE(error.message.find("frame"), std::string::npos) << error.message;
   ::close(fd);
   // The server survived: a fresh connection still solves.
-  service::Client fresh("127.0.0.1", server.port());
+  Client fresh("127.0.0.1", server.port());
   EXPECT_NE(fresh.round_trip(R"({"pattern":"10;01"})").find("\"depth\":2"),
             std::string::npos);
   server.stop();
@@ -594,7 +599,7 @@ TEST(Wire, TornWritesNeverWedgeTheServer) {
     ::close(fd);
   }
   // Both casualties drained; the server still answers.
-  service::Client fresh("127.0.0.1", server.port());
+  Client fresh("127.0.0.1", server.port());
   EXPECT_NE(fresh.round_trip(R"({"pattern":"10;01"})").find("\"depth\":2"),
             std::string::npos);
   server.stop();
@@ -620,7 +625,7 @@ TEST(Wire, IdleConnectionsAreReapedHalfOpenIncluded) {
   }
   const int idle_line = tcp_connect("127.0.0.1", server.port());
   ASSERT_GE(idle_line, 0);
-  service::Client busy("127.0.0.1", server.port());
+  Client busy("127.0.0.1", server.port());
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   bool binary_reaped = false;
@@ -653,7 +658,7 @@ TEST(Wire, SlowReaderBackpressureDeliversEverythingEventually) {
   options.max_batch = 64;
   service::Server server(options);
   server.start();
-  FrameClient client("127.0.0.1", server.port());
+  Client client("127.0.0.1", server.port());
   ASSERT_TRUE(client.upgrade());
   const int n = 200;
   for (int i = 0; i < n; ++i)
@@ -661,7 +666,7 @@ TEST(Wire, SlowReaderBackpressureDeliversEverythingEventually) {
         "{\"id\":" + std::to_string(i) + ",\"pattern\":\"10;01\"}"));
   std::this_thread::sleep_for(std::chrono::milliseconds(100));
   for (int i = 0; i < n; ++i) {
-    const io::json::Value reply = io::json::Value::parse(client.read_reply());
+    const io::json::Value reply = io::json::Value::parse(client.read_line());
     ASSERT_EQ(reply.find("error"), nullptr) << i;
     EXPECT_EQ(reply.find("id")->as_number(), static_cast<double>(i));
   }
@@ -678,13 +683,13 @@ TEST(Wire, DrainUnderMixedProtocolLoadLosesNothingAccepted) {
   for (int c = 0; c < 8; ++c) {
     clients.emplace_back([&, c]() {
       try {
-        FrameClient client("127.0.0.1", server.port());
+        Client client("127.0.0.1", server.port());
         if (c % 2 == 0) {
           if (!client.upgrade()) return;
         }
         client.send_request(io::parse_wire_request(
             R"({"pattern":"111000;000111;110011"})"));
-        (void)client.read_reply();
+        (void)client.read_line();
         finished.fetch_add(1);
       } catch (const std::exception&) {
         // Server closed first: acceptable during drain.
@@ -695,6 +700,97 @@ TEST(Wire, DrainUnderMixedProtocolLoadLosesNothingAccepted) {
   server.stop();
   for (auto& t : clients) t.join();
   EXPECT_FALSE(server.running());
+}
+
+/// A loopback port nothing listens on: connects to it are refused.
+std::uint16_t dead_port() {
+  TcpListener probe;
+  probe.listen("127.0.0.1", 0);
+  return probe.port();
+}
+
+TEST(Wire, UpgradedClientConnectsPastADeadAddress) {
+  service::Server server(test_options());
+  server.start();
+  const std::string live = "127.0.0.1:" + std::to_string(server.port());
+  Client client({"127.0.0.1:" + std::to_string(dead_port()), live});
+  EXPECT_EQ(client.endpoint(), live);
+  ASSERT_TRUE(client.upgrade());
+  EXPECT_TRUE(client.binary());
+  client.send_request(
+      io::parse_wire_request(R"({"id":7,"pattern":"110;011;111"})"));
+  const std::string reply = client.read_line();
+  ASSERT_EQ(reply.rfind("{\"id\":7,", 0), 0u) << reply;
+  EXPECT_EQ(io::json::Value::parse(reply).find("depth")->as_number(), 3.0);
+  server.stop();
+}
+
+TEST(Wire, UpgradedClientUpgradesAgainAfterFailover) {
+  auto first = std::make_unique<service::Server>(test_options());
+  service::Server second(test_options());
+  first->start();
+  second.start();
+  const std::string second_address =
+      "127.0.0.1:" + std::to_string(second.port());
+  Client client(
+      {"127.0.0.1:" + std::to_string(first->port()), second_address});
+  ASSERT_TRUE(client.upgrade());
+  ASSERT_EQ(client.round_trip(R"({"pattern":"10;01"})").find("\"error\""),
+            std::string::npos);
+
+  first->stop();
+  first.reset();
+  const std::string reply = client.round_trip(R"({"pattern":"10;01"})");
+  EXPECT_EQ(reply.find("\"error\""), std::string::npos) << reply;
+  EXPECT_EQ(client.endpoint(), second_address);
+  EXPECT_TRUE(client.binary());
+  // A type-1 frame only parses on an upgraded connection: a line-mode
+  // server would read its header bytes as a malformed line.
+  client.send_request(
+      io::parse_wire_request(R"({"id":4,"pattern":"110;011;111"})"));
+  const std::string framed = client.read_line();
+  ASSERT_EQ(framed.rfind("{\"id\":4,", 0), 0u) << framed;
+  EXPECT_EQ(io::json::Value::parse(framed).find("depth")->as_number(), 3.0);
+  second.stop();
+}
+
+TEST(Wire, CliBinaryClientFailsOverAndMatchesLineReplies) {
+  service::Server server(test_options());
+  server.start();
+  const std::string live = "127.0.0.1:" + std::to_string(server.port());
+  const std::string connect =
+      "--connect=127.0.0.1:" + std::to_string(dead_port()) + "," + live;
+  std::vector<std::string> files;
+  for (const char* pattern : {"110\n011\n111\n", "10\n01\n"}) {
+    files.push_back("/tmp/ebmf_wire_cli_" + std::to_string(files.size()) +
+                    ".txt");
+    std::ofstream(files.back()) << pattern;
+  }
+  const auto run = [&](bool binary) {
+    std::vector<std::string> args = files;
+    args.push_back(connect);
+    if (binary) args.push_back("--binary");
+    std::ostringstream out;
+    std::ostringstream err;
+    EXPECT_EQ(cli::run_command("client", args, out, err), 0) << err.str();
+    std::vector<std::string> replies;
+    std::istringstream lines(out.str());
+    for (std::string line; std::getline(lines, line);)
+      replies.push_back(line);
+    return replies;
+  };
+  const std::vector<std::string> line_replies = run(false);
+  const std::vector<std::string> frame_replies = run(true);
+  ASSERT_EQ(line_replies.size(), files.size());
+  ASSERT_EQ(frame_replies.size(), files.size());
+  for (std::size_t i = 0; i < files.size(); ++i) {
+    expect_equivalent_replies(line_replies[i], frame_replies[i]);
+    EXPECT_EQ(io::json::Value::parse(frame_replies[i])
+                  .find("endpoint")
+                  ->as_string(),
+              live);
+  }
+  server.stop();
 }
 
 // ---- write-through sends ---------------------------------------------------

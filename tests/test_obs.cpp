@@ -28,6 +28,7 @@
 #include "engine/engine.h"
 #include "io/json.h"
 #include "io/request_io.h"
+#include "net/client.h"
 #include "router/router.h"
 #include "service/service.h"
 
@@ -294,7 +295,7 @@ TEST(Trace, SpanTreeAcrossServeAndRoute) {
   router::Router router(router_options);
   router.start();
 
-  service::Client client("127.0.0.1", router.port());
+  net::Client client("127.0.0.1", router.port());
   const TraceContext ctx = make_trace_context();
   io::WireRequest wire;
   wire.request =
@@ -412,7 +413,7 @@ TEST(Trace, SpanTreeLegacyJsonBackendWire) {
   router::Router router(router_options);
   router.start();
 
-  service::Client client("127.0.0.1", router.port());
+  net::Client client("127.0.0.1", router.port());
   const TraceContext ctx = make_trace_context();
   io::WireRequest wire;
   wire.request =

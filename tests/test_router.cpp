@@ -18,6 +18,7 @@
 
 #include "benchgen/generators.h"
 #include "io/json.h"
+#include "net/client.h"
 #include "router/pool.h"
 #include "router/ring.h"
 #include "net/net.h"
@@ -37,7 +38,8 @@ service::ServerOptions backend_options() {
 
 /// A 2-backend fixture: two in-process servers plus a router over them.
 struct Fleet {
-  explicit Fleet(double l1_mb = 0.0, std::size_t backends = 2) {
+  explicit Fleet(double l1_mb = 0.0, std::size_t backends = 2,
+                 bool binary_backend = true) {
     for (std::size_t i = 0; i < backends; ++i) {
       servers.push_back(std::make_unique<service::Server>(backend_options()));
       servers.back()->start();
@@ -45,6 +47,7 @@ struct Fleet {
     RouterOptions options;
     options.port = 0;
     options.l1_mb = l1_mb;
+    options.binary_backend = binary_backend;
     options.backoff_base_ms = 5;  // fast recovery in tests
     options.backoff_max_ms = 50;
     options.health_interval_ms = 10;
@@ -292,7 +295,7 @@ TEST(BackendPool, ReconnectRespectsExponentialBackoff) {
 
 TEST(Router, RoundTripSolvesThroughABackend) {
   Fleet fleet;
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   const Reply reply(client.round_trip(
       R"({"pattern": "110;011;111", "label": "eq2", "id": 42})"));
   ASSERT_FALSE(reply.is_error());
@@ -310,7 +313,7 @@ TEST(Router, PermutedDuplicatesHitTheSameBackendCache) {
   Fleet fleet(/*l1_mb=*/0.0);  // L1 off: observe the *backend* cache
   const BinaryMatrix base = BinaryMatrix::parse("1110;0111;1111");
   Rng rng(7);
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
 
   const Reply cold(client.round_trip("{\"pattern\": \"" +
                                      pattern_text(base) + "\"}"));
@@ -338,7 +341,7 @@ TEST(Router, L1AnswersRepeatsWithoutTouchingBackends) {
   Fleet fleet(/*l1_mb=*/8.0);
   const BinaryMatrix base = BinaryMatrix::parse("110;011;111");
   Rng rng(3);
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
 
   const Reply cold(client.round_trip("{\"pattern\": \"" +
                                      pattern_text(base) + "\"}"));
@@ -374,7 +377,7 @@ TEST(Router, PipelinedRepliesComeBackInOrderUnderConcurrency) {
   for (int c = 0; c < clients; ++c) {
     workers.emplace_back([&, c]() {
       try {
-        service::Client client("127.0.0.1", fleet.router->port());
+        net::Client client("127.0.0.1", fleet.router->port());
         for (int i = 0; i < per_client; ++i) {
           // Alternate sizes so completion order would differ from request
           // order without per-connection reassembly.
@@ -405,7 +408,7 @@ TEST(Router, PipelinedRepliesComeBackInOrderUnderConcurrency) {
 
 TEST(Router, KilledBackendFailsOverWithoutLosingRequests) {
   Fleet fleet(/*l1_mb=*/0.0);
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
 
   // Discover which backend owns the burst pattern's canonical key, so
   // killing exactly that one forces the failover path deterministically.
@@ -472,7 +475,7 @@ TEST(Router, KilledBackendFailsOverWithoutLosingRequests) {
 
 TEST(Router, StatsVerbReportsBackendsAndCounters) {
   Fleet fleet(/*l1_mb=*/4.0);
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   const Reply solve(client.round_trip(R"({"pattern": "10;01"})"));
   ASSERT_FALSE(solve.is_error());
   const Reply stats(client.round_trip(R"({"op":"stats","id":9})"));
@@ -492,9 +495,26 @@ TEST(Router, StatsVerbReportsBackendsAndCounters) {
   EXPECT_TRUE(l1->is_object());
 }
 
+TEST(Router, NoBinaryBackendPoolsStayOnLineJson) {
+  // `ebmf route --no-binary`: the pools never negotiate frames, so the
+  // stats verb reports every backend line-framed, and solves still route.
+  Fleet fleet(/*l1_mb=*/0.0, /*backends=*/1, /*binary_backend=*/false);
+  net::Client client("127.0.0.1", fleet.router->port());
+  const Reply solve(client.round_trip(R"({"pattern": "110;011;111"})"));
+  ASSERT_FALSE(solve.is_error());
+  EXPECT_EQ(solve.depth(), 3.0);
+  const Reply stats(client.round_trip(R"({"op":"stats"})"));
+  ASSERT_FALSE(stats.is_error());
+  const io::json::Value* backends = stats.document.find("backends");
+  ASSERT_NE(backends, nullptr);
+  ASSERT_EQ(backends->size(), 1u);
+  EXPECT_TRUE(backends->at(0).find("alive")->as_bool());
+  EXPECT_FALSE(backends->at(0).find("binary")->as_bool());
+}
+
 TEST(Router, MaskedRequestsPassThrough) {
   Fleet fleet;
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   const Reply reply(client.round_trip(
       R"({"pattern": "1*;*1", "label": "masked"})"));
   ASSERT_FALSE(reply.is_error());
@@ -504,7 +524,7 @@ TEST(Router, MaskedRequestsPassThrough) {
 
 TEST(Router, MalformedLinesAndUnknownStrategiesBecomeErrors) {
   Fleet fleet;
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   const Reply bad(client.round_trip("this is not json"));
   EXPECT_TRUE(bad.is_error());
   const Reply unknown(client.round_trip(
@@ -521,7 +541,7 @@ TEST(Router, MalformedLinesAndUnknownStrategiesBecomeErrors) {
 
 TEST(Router, AllZeroPatternIsAnsweredLocally) {
   Fleet fleet;
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   const Reply reply(client.round_trip(R"({"pattern": "000;000"})"));
   ASSERT_FALSE(reply.is_error());
   EXPECT_EQ(reply.depth(), 0.0);
@@ -559,7 +579,7 @@ long long federated_value(const std::string& text, const std::string& name,
 
 TEST(Router, FleetMetricsScrapeSumsBackendCounters) {
   Fleet fleet(/*l1_mb=*/0.0);
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   // Distinct patterns spread across the ring so the counters move.
   for (const char* pattern :
        {"10;01", "110;011;111", "1110;0111;1111", "11;11", "101;010;111"}) {
@@ -603,7 +623,7 @@ TEST(Router, FleetMetricsScrapeSumsBackendCounters) {
 
 TEST(Router, MalformedMetricsScopeIsRejected) {
   Fleet fleet;
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   const Reply bogus(
       client.round_trip(R"({"op":"metrics","scope":"bogus"})"));
   ASSERT_TRUE(bogus.is_error());
@@ -618,7 +638,7 @@ TEST(Router, MalformedMetricsScopeIsRejected) {
 
 TEST(Router, EventsVerbSnapshotsTheRecorder) {
   Fleet fleet;
-  service::Client client("127.0.0.1", fleet.router->port());
+  net::Client client("127.0.0.1", fleet.router->port());
   const Reply solve(client.round_trip(R"({"pattern": "110;011;111"})"));
   ASSERT_FALSE(solve.is_error());
   const std::string raw = client.round_trip(R"({"op":"events","id":2})");
@@ -637,11 +657,11 @@ TEST(Router, WatchRelaysBackendProgressFrames) {
   // solve runs anytime and streams its bracket.
   Rng gen(6);
   const BinaryMatrix hard = benchgen::gap_matrix(20, 20, 6, gen).matrix;
-  service::Client solver("127.0.0.1", fleet.router->port());
+  net::Client solver("127.0.0.1", fleet.router->port());
   solver.send_line("{\"id\":0,\"pattern\":\"" + pattern_text(hard) +
                    "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":1.5}");
 
-  service::Client watcher("127.0.0.1", fleet.router->port());
+  net::Client watcher("127.0.0.1", fleet.router->port());
   std::string line;
   bool streaming = false;
   for (int attempt = 0; attempt < 100 && !streaming; ++attempt) {

@@ -16,6 +16,7 @@
 #include "benchgen/generators.h"
 #include "io/json.h"
 #include "io/request_io.h"
+#include "net/client.h"
 #include "support/rng.h"
 
 namespace ebmf::service {
@@ -57,7 +58,7 @@ struct Reply {
 TEST(Service, RoundTripSolvesAndReportsJson) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const Reply reply(client.round_trip(
       R"({"pattern": "110;011;111", "label": "eq2"})"));
   EXPECT_FALSE(reply.is_error());
@@ -72,7 +73,7 @@ TEST(Service, RoundTripSolvesAndReportsJson) {
 TEST(Service, IncludePartitionAttachesCertificate) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const Reply reply(client.round_trip(
       R"({"pattern": "10;01", "include_partition": true})"));
   ASSERT_FALSE(reply.is_error());
@@ -85,7 +86,7 @@ TEST(Service, IncludePartitionAttachesCertificate) {
 TEST(Service, PipelinedRequestsAnswerInOrder) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const int n = 20;
   for (int i = 0; i < n; ++i) {
     // Alternate instance sizes so completion order would differ from
@@ -116,7 +117,7 @@ TEST(Service, Sustains64ConcurrentInFlightRequests) {
   for (int c = 0; c < connections; ++c) {
     clients.emplace_back([&, c]() {
       try {
-        Client client("127.0.0.1", server.port());
+        net::Client client("127.0.0.1", server.port());
         const Reply reply(client.round_trip(
             "{\"pattern\": \"110;011;111\", \"label\": \"c" +
             std::to_string(c) + "\"}"));
@@ -137,12 +138,12 @@ TEST(Service, RepeatedPatternHitsCacheAcrossConnections) {
   Server server(test_options());
   server.start();
   {
-    Client first("127.0.0.1", server.port());
+    net::Client first("127.0.0.1", server.port());
     const Reply cold(first.round_trip(R"({"pattern": "1110;0111;1111"})"));
     EXPECT_EQ(cold.telemetry("cache_hit"), "false");
   }
   {
-    Client second("127.0.0.1", server.port());
+    net::Client second("127.0.0.1", server.port());
     // A column-permuted duplicate from a brand-new connection.
     const Reply warm(second.round_trip(R"({"pattern": "1101;1011;1111"})"));
     EXPECT_EQ(warm.telemetry("cache_hit"), "true");
@@ -155,7 +156,7 @@ TEST(Service, RepeatedPatternHitsCacheAcrossConnections) {
 TEST(Service, MalformedLinesYieldErrorsAndKeepTheConnection) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const Reply bad(client.round_trip("this is not json"));
   EXPECT_TRUE(bad.is_error());
   const Reply missing(client.round_trip(R"({"strategy": "sap"})"));
@@ -176,7 +177,7 @@ TEST(Service, MalformedLinesYieldErrorsAndKeepTheConnection) {
 TEST(Service, SplitRequestsRouteThroughSolveSplit) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   // Two diagonal blocks: the split path decomposes, the giant-component
   // fallback telemetry appears for a single-component pattern.
   const Reply split(client.round_trip(
@@ -196,7 +197,7 @@ TEST(Service, AdmissionControlShedsLoadWithAnError) {
   options.max_batch = 8;
   Server server(options);
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   // A pipelined burst on one connection is parsed as one batch; with one
   // admission slot the surplus is rejected, in order.
   for (int i = 0; i < 4; ++i)
@@ -226,7 +227,7 @@ TEST(Service, StopDrainsCleanlyUnderLoad) {
   for (int c = 0; c < 8; ++c) {
     clients.emplace_back([&]() {
       try {
-        Client client("127.0.0.1", server.port());
+        net::Client client("127.0.0.1", server.port());
         const Reply reply(client.round_trip(
             R"({"pattern": "111000;000111;110011"})"));
         (void)reply;
@@ -246,7 +247,7 @@ TEST(Service, StopDrainsCleanlyUnderLoad) {
 TEST(Service, StatsVerbReportsCountersAndCache) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const Reply solve(client.round_trip(R"({"pattern": "110;011;111"})"));
   ASSERT_FALSE(solve.is_error());
   const Reply stats(client.round_trip(R"({"op": "stats", "id": 5})"));
@@ -268,7 +269,7 @@ TEST(Service, StatsVerbReportsCountersAndCache) {
 TEST(Service, RequestIdIsEchoedFirstInTheResponse) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const std::string raw =
       client.round_trip(R"({"pattern": "10;01", "id": 11})");
   EXPECT_EQ(raw.rfind("{\"id\":11,", 0), 0u);
@@ -287,7 +288,7 @@ TEST(Service, ClientReconnectsOnceAcrossAServerRestart) {
   Server first(options);
   first.start();
   const std::uint16_t port = first.port();
-  Client client("127.0.0.1", port);
+  net::Client client("127.0.0.1", port);
   const Reply before(client.round_trip(R"({"pattern": "10;01"})"));
   ASSERT_FALSE(before.is_error());
 
@@ -352,7 +353,7 @@ std::string open_pattern() {
 /// Subscribe `watcher` to in-flight id 0, retrying while the solve line is
 /// still in flight to the server. Returns the first stream line ("" when
 /// the subscription never took).
-std::string subscribe_watch(Client& watcher) {
+std::string subscribe_watch(net::Client& watcher) {
   for (int attempt = 0; attempt < 100; ++attempt) {
     watcher.send_line(R"({"op":"watch","id":0})");
     const std::string line = watcher.read_line();
@@ -365,7 +366,7 @@ std::string subscribe_watch(Client& watcher) {
 TEST(Watch, UnknownIdIsAnErrorAndKeepsTheConnection) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const Reply miss(client.round_trip(R"({"op":"watch","id":777})"));
   ASSERT_TRUE(miss.is_error());
   EXPECT_NE(miss.document.find("error")->as_string().find(
@@ -381,11 +382,11 @@ TEST(Watch, UnknownIdIsAnErrorAndKeepsTheConnection) {
 TEST(Watch, StreamsFramesWithNonIncreasingGapThenDone) {
   Server server(test_options());
   server.start();
-  Client solver("127.0.0.1", server.port());
+  net::Client solver("127.0.0.1", server.port());
   solver.send_line("{\"id\":0,\"pattern\":\"" + open_pattern() +
                    "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":1.5}");
 
-  Client watcher("127.0.0.1", server.port());
+  net::Client watcher("127.0.0.1", server.port());
   std::string line = subscribe_watch(watcher);
   ASSERT_FALSE(line.empty()) << "watch never attached";
 
@@ -438,11 +439,11 @@ TEST(Watch, StreamsFramesWithNonIncreasingGapThenDone) {
 TEST(Watch, SubscriberDisconnectMidSolveDoesNotStallTheSolver) {
   Server server(test_options());
   server.start();
-  Client solver("127.0.0.1", server.port());
+  net::Client solver("127.0.0.1", server.port());
   solver.send_line("{\"id\":0,\"pattern\":\"" + open_pattern() +
                    "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":1.0}");
   {
-    Client watcher("127.0.0.1", server.port());
+    net::Client watcher("127.0.0.1", server.port());
     const std::string first = subscribe_watch(watcher);
     ASSERT_FALSE(first.empty());
     // Hang up mid-stream: the destructor closes the socket while the
@@ -457,7 +458,7 @@ TEST(Watch, SubscriberDisconnectMidSolveDoesNotStallTheSolver) {
 TEST(Events, BudgetCutReplyCarriesFlightRecorderSnapshot) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const Reply reply(client.round_trip(
       "{\"pattern\":\"" + open_pattern() +
       "\",\"strategy\":\"auto\",\"trials\":1,\"budget\":0.3}"));
@@ -477,7 +478,7 @@ TEST(Events, BudgetCutReplyCarriesFlightRecorderSnapshot) {
 TEST(Events, WarmHeuristicHitCarriesNoEvents) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   // Fill the flight recorder first, so a wrongly spliced tail would show.
   const Reply cut(client.round_trip(
       "{\"pattern\":\"" + open_pattern() +
@@ -502,7 +503,7 @@ TEST(Events, WarmHeuristicHitCarriesNoEvents) {
 TEST(Events, VerbSnapshotsTheRecorderOnDemand) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   // A solve first, so the rings hold something attributable.
   const Reply solve(client.round_trip(
       "{\"pattern\":\"" + open_pattern() +
@@ -522,7 +523,7 @@ TEST(Events, VerbSnapshotsTheRecorderOnDemand) {
 TEST(Metrics, MalformedScopeIsRejectedFleetNeedsARouter) {
   Server server(test_options());
   server.start();
-  Client client("127.0.0.1", server.port());
+  net::Client client("127.0.0.1", server.port());
   const Reply bogus(
       client.round_trip(R"({"op":"metrics","scope":"bogus"})"));
   ASSERT_TRUE(bogus.is_error());
