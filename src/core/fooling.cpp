@@ -18,36 +18,44 @@ bool fooling_compatible(const BinaryMatrix& m,
 
 using Word = std::uint64_t;
 
-/// Search nodes between two polls of the deadline and cancellation flags
-/// on a one-word graph. A node's work grows with the word count, so wider
-/// graphs poll proportionally more often, down to every node.
-constexpr std::uint64_t kPollInterval = 256;
+/// Words of bitset work between two polls of the deadline and cancellation
+/// flags. Colouring a node costs about candidates × words (one pass over
+/// the words after each candidate's own), so the search counts words, not
+/// nodes: polls stay a fraction of a millisecond apart at any width.
+constexpr std::uint64_t kPollWords = std::uint64_t{1} << 18;
 
-/// One packed row of `words` words per 1-cell (row-major `cells`), with bit
-/// u set when cell u may share a fooling set with the row's cell. Cells
-/// (i,j) and (i',j') clash iff M[i][j'] = M[i'][j] = 1: the second cell's
-/// column is in row i's support and its row in column j's. So the clash set
-/// of (i,j) is in_col[j] & in_row[i], where in_col[j] holds the cells whose
-/// row has a 1 in column j and in_row[i] those whose column is in row i's
-/// support; its row is the complement (bits past the last cell are never
-/// read, since candidate sets hold none).
-std::vector<Word> compatibility_rows(const BinaryMatrix& m,
-                                     const CellSet& cells, std::size_t words) {
-  std::vector<Word> in_col(m.cols() * words), in_row(m.rows() * words);
-  for (std::size_t v = 0; v < cells.size(); ++v) {
-    const Word bit = Word{1} << (v & 63);
-    for (std::size_t j = 0; j < m.cols(); ++j)
-      if (m.test(cells[v].first, j)) in_col[j * words + v / 64] |= bit;
-    for (std::size_t i = 0; i < m.rows(); ++i)
-      if (m.test(i, cells[v].second)) in_row[i * words + v / 64] |= bit;
+/// The fooling-compatibility graph, kept implicit. Cells (i,j) and (i',j')
+/// clash iff M[i][j'] = M[i'][j] = 1: the second cell's column is in row
+/// i's support and its row in column j's. So the clash set of (i,j) is
+/// in_col[j] & in_row[i], where in_col[j] holds the cells whose row has a
+/// 1 in column j and in_row[i] those whose column is in row i's support;
+/// its compatibility row is the complement (bits past the last cell are
+/// never read, since candidate sets hold none). Both tables are built from
+/// the row and column supports, one bit per (cell, support entry).
+struct ClashTables {
+  std::size_t words;
+  std::vector<Word> in_col, in_row;
+
+  ClashTables(const BinaryMatrix& m, const CellSet& cells)
+      : words((cells.size() + 63) / 64),
+        in_col(m.cols() * words),
+        in_row(m.rows() * words) {
+    std::vector<std::vector<std::size_t>> row_support(m.rows()),
+        col_support(m.cols());
+    for (const auto& [i, j] : cells) {
+      row_support[i].push_back(j);
+      col_support[j].push_back(i);
+    }
+    for (std::size_t v = 0; v < cells.size(); ++v) {
+      const Word bit = Word{1} << (v & 63);
+      const auto [i, j] = cells[v];
+      for (const std::size_t c : row_support[i])
+        in_col[c * words + v / 64] |= bit;
+      for (const std::size_t r : col_support[j])
+        in_row[r * words + v / 64] |= bit;
+    }
   }
-  std::vector<Word> rows(cells.size() * words);
-  for (std::size_t v = 0; v < cells.size(); ++v)
-    for (std::size_t w = 0; w < words; ++w)
-      rows[v * words + w] = ~(in_col[cells[v].second * words + w] &
-                              in_row[cells[v].first * words + w]);
-  return rows;
-}
+};
 
 /// Maximum clique over the compatibility graph by bit-parallel branch and
 /// bound (after San Segundo et al.'s BBMC). Each node colours its
@@ -57,18 +65,33 @@ std::vector<Word> compatibility_rows(const BinaryMatrix& m,
 /// incumbent (or the caller's floor) are branched on.
 struct CliqueSearch {
   const Budget& budget;
-  std::size_t floor, target, words;
-  std::vector<Word> adj;
+  std::size_t floor, target;
+  const CellSet& cells;
+  const ClashTables& tables;
+  std::size_t words = tables.words;
   std::vector<std::size_t> clique{}, best{};
-  std::uint64_t nodes = 0;
+  std::uint64_t nodes = 0, work = 0;
   bool stopped = false;
-  std::uint64_t poll_every = std::max<std::uint64_t>(
-      kPollInterval / std::max<std::size_t>(words, 1), 1);
 
-  const Word* row(std::size_t v) const { return adj.data() + v * words; }
+  /// Cell v's clash set is col(v) & row(v), word by word.
+  const Word* col(std::size_t v) const {
+    return tables.in_col.data() + cells[v].second * words;
+  }
+  const Word* row(std::size_t v) const {
+    return tables.in_row.data() + cells[v].first * words;
+  }
   std::size_t limit() const { return std::max(best.size(), floor); }
   bool done() const {
     return stopped || (target != 0 && best.size() >= target);
+  }
+  /// Counts `n` words of work, polling the budget every kPollWords.
+  bool charge(std::size_t n) {
+    work += n;
+    if (work >= kPollWords) {
+      work = 0;
+      stopped = budget.exhausted();
+    }
+    return stopped;
   }
 
   /// First-fit maximal clique in vertex order: the answer when the budget
@@ -76,15 +99,16 @@ struct CliqueSearch {
   void seed(std::vector<Word> open) {
     for (std::size_t w = 0; w < words; ++w)
       while (open[w] != 0) {
-        best.push_back(w * 64 + std::countr_zero(open[w]));
-        for (std::size_t x = w; x < words; ++x) open[x] &= row(best.back())[x];
+        const std::size_t v = w * 64 + std::countr_zero(open[w]);
+        best.push_back(v);
+        const Word *c = col(v), *r = row(v);
+        for (std::size_t x = w; x < words; ++x) open[x] &= ~(c[x] & r[x]);
       }
   }
 
   void expand(std::vector<Word>& cand) {
     ++nodes;
-    stopped = (budget.max_nodes != 0 && nodes > budget.max_nodes) ||
-              (nodes % poll_every == 0 && budget.exhausted());
+    stopped = budget.max_nodes != 0 && nodes > budget.max_nodes;
     if (stopped) return;
     // Colour class k collects, in index order, candidates not adjacent to
     // an earlier member. Keep (vertex, k) only where depth + k can win.
@@ -101,7 +125,9 @@ struct CliqueSearch {
           const std::size_t v = w * 64 + std::countr_zero(open[w]);
           uncoloured[w] &= ~bit;
           open[w] &= ~bit;
-          for (std::size_t x = w; x < words; ++x) open[x] &= ~row(v)[x];
+          const Word *c = col(v), *r = row(v);
+          for (std::size_t x = w; x < words; ++x) open[x] &= c[x] & r[x];
+          if (charge(words - w)) return;
           if (depth + k > lim) order.emplace_back(v, k);
         }
     }
@@ -111,9 +137,10 @@ struct CliqueSearch {
       const auto [v, k] = *it;
       if (depth + k <= limit()) break;
       clique.push_back(v);
+      const Word *c = col(v), *r = row(v);
       bool any = false;
       for (std::size_t w = 0; w < words; ++w)
-        any |= (next[w] = cand[w] & row(v)[w]) != 0;
+        any |= (next[w] = cand[w] & ~(c[w] & r[w])) != 0;
       if (any)
         expand(next);
       else if (clique.size() > limit())
@@ -157,10 +184,9 @@ CellSet greedy_fooling_set(const BinaryMatrix& m, std::size_t trials,
 CellSet max_fooling_set(const BinaryMatrix& m, const Budget& budget,
                         std::size_t floor, std::size_t target) {
   const CellSet cells = m.ones();
-  const std::size_t words = (cells.size() + 63) / 64;
-  CliqueSearch search{budget, floor, target, words,
-                      compatibility_rows(m, cells, words)};
-  std::vector<Word> all(words);
+  const ClashTables tables(m, cells);
+  CliqueSearch search{budget, floor, target, cells, tables};
+  std::vector<Word> all(tables.words);
   for (std::size_t v = 0; v < cells.size(); ++v)
     all[v / 64] |= Word{1} << (v & 63);
   search.seed(all);

@@ -36,12 +36,15 @@ CellSet greedy_fooling_set(const BinaryMatrix& m, std::size_t trials = 16,
                            std::uint64_t seed = 1);
 
 /// Exact maximum fooling set φ(M), found as a maximum clique of the
-/// fooling-compatibility graph by word-parallel branch and bound. Only
-/// sets larger than `floor` are sought, and the search stops once it holds
-/// `target` cells (0 = run to the maximum); a completed search returning at
-/// most `floor` cells proves φ ≤ floor. `budget` bounds the work (deadline
-/// and cancel polled at node checkpoints, `max_nodes`); on exhaustion the
-/// best set so far is returned — maximal, and always a valid fooling set.
+/// fooling-compatibility graph by word-parallel branch and bound. The graph
+/// is never stored: a cell's clash set is the AND of one row of each of two
+/// tables, (rows + cols)·⌈cells/64⌉ words in all, built from the row and
+/// column supports. Only sets larger than `floor` are sought, and the
+/// search stops once it holds `target` cells (0 = run to the maximum); a
+/// completed search returning at most `floor` cells proves φ ≤ floor.
+/// `budget` bounds the work (deadline and cancel polled as the search
+/// works, `max_nodes`); on exhaustion the best set so far is returned —
+/// maximal, and always a valid fooling set.
 CellSet max_fooling_set(const BinaryMatrix& m, const Budget& budget = {},
                         std::size_t floor = 0, std::size_t target = 0);
 

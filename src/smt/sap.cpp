@@ -1,7 +1,6 @@
 #include "smt/sap.h"
 
 #include <algorithm>
-#include <atomic>
 
 #include "core/fooling.h"
 #include "core/preprocess.h"
@@ -47,64 +46,31 @@ bool smt_encode_affordable(std::size_t cells, std::size_t bound,
 /// Branch-and-bound nodes the fooling-set search may spend before the SAT
 /// phase: a count, not a time slice, so the certificate and the SAT work
 /// after it never depend on the host. Every Table 1 instance that gets this
-/// far settles in under 64 nodes. A node's work grows with the graph's
-/// width in words, so graphs wider than 64 words (4,096 cells) get
+/// far settles in under 64 nodes. A node colours each of its candidates
+/// with one pass over the words after it, about cells × words of work at
+/// the root, so patterns wider than 64 words (4,096 cells) get
 /// proportionally fewer nodes (fooling_nodes).
 constexpr std::uint64_t kFoolingNodes = 4096;
 
-/// Ceiling on the fooling search's compatibility graph, one packed row of
-/// ⌈cells/64⌉ words per 1-cell (about cells²/8 bytes). 256 MiB admits
-/// 46,336 cells; the component of a 1000² qldpc block pattern at occupancy
-/// 0.5 (seed 1) has 37,390.
-constexpr std::size_t kFoolingGraphBytes = std::size_t{1} << 28;
+/// Estimated seconds per bit of the fooling search's two clash tables,
+/// (rows + cols) · cells bits, to build them: the part of the search that
+/// polls no deadline. Calibration (4-vCPU Xeon, g++ 12.2, Release): the
+/// 134×1000 component of a 1000² qldpc block pattern at occupancy 0.5
+/// (seed 1, 37,390 cells) takes 0.03 s, 7e-10 s per bit; a random 1000²
+/// at 0.5 (500,255 cells) takes 1.36 s, 1.4e-9.
+constexpr double kFoolingSecondsPerTableBit = 1.4e-9;
 
-/// Estimated seconds per pair of 1-cells to build that graph and colour it
-/// once, the part of the search that polls no deadline. Calibration: the
-/// 37,390 cells above take 0.36 s (4-vCPU Xeon, g++ 12.2, Release).
-constexpr double kFoolingSecondsPerPair = 2.6e-10;
-
-/// Process-wide ceiling on the graphs of the fooling searches running at
-/// once, four at the per-search ceiling: a server solves one request per
-/// worker, and the graphs must not grow with the worker count.
-constexpr std::size_t kFoolingGraphBytesInFlight = 4 * kFoolingGraphBytes;
-
-std::atomic<std::size_t> fooling_graph_bytes_in_flight{0};
-
-/// A claim of `bytes` on kFoolingGraphBytesInFlight, released on
-/// destruction; `held` is false (and nothing is claimed) when it does not
-/// fit beside the searches already running.
-struct GraphClaim {
-  std::size_t bytes;
-  bool held;
-
-  explicit GraphClaim(std::size_t claimed)
-      : bytes(claimed),
-        held(fooling_graph_bytes_in_flight.fetch_add(claimed) + claimed <=
-             kFoolingGraphBytesInFlight) {
-    if (!held) fooling_graph_bytes_in_flight.fetch_sub(bytes);
-  }
-  ~GraphClaim() {
-    if (held) fooling_graph_bytes_in_flight.fetch_sub(bytes);
-  }
-  GraphClaim(const GraphClaim&) = delete;
-  GraphClaim& operator=(const GraphClaim&) = delete;
-};
-
-/// Bytes of the fooling search's graph on `cells` 1-cells.
-std::size_t fooling_graph_bytes(std::size_t cells) {
-  return cells * ((cells + 63) / 64) * sizeof(std::uint64_t);
-}
-
-/// True when building that graph fits the deadline (Budget::affords).
-bool fooling_affordable(std::size_t cells, const Budget& budget) {
-  const auto pairs = static_cast<double>(cells) * static_cast<double>(cells);
-  return budget.affords(kFoolingSecondsPerPair * pairs);
+/// True when building those tables fits the deadline (Budget::affords).
+bool fooling_affordable(const BinaryMatrix& m, const Budget& budget) {
+  const auto bits = static_cast<double>(m.ones_count()) *
+                    static_cast<double>(m.rows() + m.cols());
+  return budget.affords(kFoolingSecondsPerTableBit * bits);
 }
 
 /// The search's node allowance: kFoolingNodes up to 64 words, then scaled
 /// down by the width, so nodes × words stays under 4096 × 64. The 1000²
 /// component above (585 words) gets 448 nodes and certifies the same 100
-/// in 0.32 s as 4096 nodes do in 0.42 s.
+/// in 0.13 s as 4096 nodes do in 0.3 s.
 std::uint64_t fooling_nodes(std::size_t cells) {
   const std::uint64_t words = std::max<std::uint64_t>((cells + 63) / 64, 64);
   return kFoolingNodes * 64 / words;
@@ -221,26 +187,22 @@ bool sap_bracket(const BinaryMatrix& m, const SapOptions& options,
   // Fooling-set certificate (paper §II): k 1-cells no rectangle can share
   // prove r_B ≥ k. Only a set above the rank helps; one as large as the
   // packing closes the bracket with no formula built. It runs ahead of
-  // the SMT refusals below, which it does not need, behind its own memory
-  // and deadline gates.
+  // the SMT refusals below, which it does not need, behind its own
+  // deadline gate.
   const std::size_t cells = m.ones_count();
-  const std::size_t graph_bytes = fooling_graph_bytes(cells);
-  bool refused = false;  // by the deadline, or by concurrent searches
-  if (graph_bytes <= kFoolingGraphBytes) {
-    const GraphClaim claim(graph_bytes);
-    refused = !claim.held || !fooling_affordable(cells, options.budget);
-    if (!refused) {
-      phase.restart();
-      Budget fooling_budget = options.budget;
-      fooling_budget.max_nodes = fooling_nodes(cells);
-      const CellSet fooling = max_fooling_set(
-          m, fooling_budget, result.rank_lower, result.partition.size());
-      result.fooling_seconds = phase.seconds();
-      result.fooling_size = fooling.size();
-      if (fooling.size() > result.rank_lower) {
-        EBMF_ENSURES(is_fooling_set(m, fooling));
-        result.certified_lower = fooling.size();
-      }
+  const bool refused = !fooling_affordable(m, options.budget);
+  if (!refused) {
+    phase.restart();
+    Budget fooling_budget = options.budget;
+    fooling_budget.max_nodes = fooling_nodes(cells);
+    const CellSet fooling = max_fooling_set(m, fooling_budget,
+                                            result.rank_lower,
+                                            result.partition.size());
+    result.fooling_seconds = phase.seconds();
+    result.fooling_size = fooling.size();
+    if (fooling.size() > result.rank_lower) {
+      EBMF_ENSURES(is_fooling_set(m, fooling));
+      result.certified_lower = fooling.size();
     }
   }
   if (result.certified_lower == result.partition.size()) {
@@ -248,10 +210,10 @@ bool sap_bracket(const BinaryMatrix& m, const SapOptions& options,
     return false;
   }
   // Past the cell guard no formula is built. The bracket is HeuristicOnly,
-  // the same at any budget, only when neither the deadline nor concurrent
-  // searches refused the fooling search and the deadline did not stop it.
-  // Otherwise a later attempt could tighten it, so it is BoundedOnly, and
-  // a cached copy is retried under a larger budget.
+  // the same at any budget, only when the deadline neither refused the
+  // fooling search nor stopped it. Otherwise a later attempt could tighten
+  // it, so it is BoundedOnly, and a cached copy is retried under a larger
+  // budget.
   if (options.smt_cell_limit != 0 && cells > options.smt_cell_limit) {
     if (refused || options.budget.exhausted())
       result.status = SapStatus::BoundedOnly;

@@ -12,7 +12,7 @@
 ///    |P| of them prove P optimal with no formula built; fewer, but above
 ///    the rank, become the certified lower bound L. It needs no formula,
 ///    so it also runs where the SMT phase is refused (cell limit, encoding
-///    cost), up to its own memory ceiling.
+///    cost), whenever building its clash tables fits the deadline.
 /// 5. Otherwise the SMT formula for b = |P|−1 is built and solved with
 ///    decreasing b (narrowing incrementally) until UNSAT or b < L.
 ///

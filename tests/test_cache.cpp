@@ -240,8 +240,9 @@ TEST(EngineCache, BoundedEntryUpgradesUnderABiggerBudget) {
 }
 
 TEST(EngineCache, DeadlineCutAutoAnswerIsReSolvedUnderABiggerBudget) {
-  // At 0.3 s the deadline refuses the fooling search on the 1000²
-  // component, and auto answers the rank bracket [75, 119] as Bounded.
+  // At 0.3 s the packing spends the deadline, which then refuses the
+  // fooling search on the 1000² component, and auto answers the rank
+  // bracket [75, 119] as Bounded.
   // A 10 s request must re-solve rather than serve it: the fooling set
   // then certifies 100.
   Rng rng(1);

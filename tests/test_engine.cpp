@@ -147,8 +147,9 @@ TEST(Auto, CertifiesQldpcBlockOptimum) {
 
 TEST(Auto, DeadlineCutBracketReportsBounded) {
   // The 1000² component has 37,390 cells, far past the cell guard. At
-  // 0.3 s the deadline refuses the fooling search's graph build, so the
-  // bracket depends on the budget: Bounded, not Heuristic.
+  // 0.3 s the packing spends the deadline and the deadline then refuses
+  // the fooling search, so the bracket depends on the budget: Bounded,
+  // not Heuristic.
   Rng rng(1);
   const BinaryMatrix m = benchgen::qldpc_block_matrix(1000, 1000, 0.5, rng);
   const Engine engine;

@@ -8,6 +8,7 @@
 
 #include <chrono>
 #include <thread>
+#include <vector>
 
 #include "benchgen/generators.h"
 #include "benchgen/suites.h"
@@ -296,6 +297,24 @@ TEST(Sap, StatsAreCoherent) {
   // Bounds must be decreasing across calls.
   for (std::size_t i = 1; i < r.smt_calls.size(); ++i)
     EXPECT_LT(r.smt_calls[i].bound, r.smt_calls[i - 1].bound);
+}
+
+TEST(Sap, ConcurrentFoolingSearchesAllCertify) {
+  // Seven no-deadline brackets of the qldpc 1000² pattern (one component
+  // of 37,390 cells) at once. Each fooling search reads its own clash
+  // tables of about 5 MB, so none depends on what else is running, and
+  // every one certifies the same 100.
+  Rng rng(1);
+  const BinaryMatrix m = benchgen::qldpc_block_matrix(1000, 1000, 0.5, rng);
+  SapOptions options;
+  options.smt_cell_limit = 200;  // the bracket only: no formula is built
+  std::vector<std::size_t> lower(7);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < lower.size(); ++t)
+    threads.emplace_back(
+        [&, t] { lower[t] = sap_solve(m, options).certified_lower; });
+  for (auto& thread : threads) thread.join();
+  for (const std::size_t bound : lower) EXPECT_EQ(bound, 100u);
 }
 
 TEST(Sap, WideRandomMatricesUsuallyRankCertified) {
